@@ -154,7 +154,8 @@ __all__ = [
     "build_spaceable_certificate", "canonical_json", "verify_certificate",
     # errors
     "BadRelationError", "CollinearError", "DegenerateError",
-    "DuplicateColumnsError", "EmptyInputError", "LimprofError", "RangeError",
+    "DuplicateColumnsError", "EmptyInputError", "InternalError", "LimprofError",
+    "RangeError",
     "ShapeError", "TooFewRowsError", "TooLargeError", "UnavoidableError",
     "ZeroDirectionError",
 ]

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .errors import RangeError, ShapeError, TooLargeError
+from .errors import InternalError, RangeError, ShapeError, TooLargeError
 from .kernel import RatMatrix, Vec, integer_tuples, rank_of_vectors, vec
 from .engine import profile, set_partitions
 from .geometry import approx_direction_census, approx_regular_polygon
@@ -83,13 +83,13 @@ def _candidate_ok(vectors: list[Vec], cand: Vec, n: int, d: int) -> bool:
     return True
 
 
-def generic_vectors(n: int, d: int, cap: int = GENERIC_CAP) -> GenericVectorFamily:
+def generic_vectors(n: int, d: int) -> GenericVectorFamily:
     """Greedy deterministic construction of the n+d vectors: candidates come
     from the integer grid in max-norm shells, the first acceptable one wins."""
     if n < 1 or d < 0:
         raise ShapeError("need n >= 1 and d >= 0")
-    if n + d > cap:
-        raise TooLargeError(f"n+d = {n + d} exceeds cap {cap}")
+    if n + d > GENERIC_CAP:
+        raise TooLargeError(f"n+d = {n + d} exceeds cap {GENERIC_CAP}")
     dim = d + 1
     vectors: list[Vec] = [tuple(Fraction(0) for _ in range(dim))]
     while len(vectors) < n + d:
@@ -101,27 +101,27 @@ def generic_vectors(n: int, d: int, cap: int = GENERIC_CAP) -> GenericVectorFami
     return GenericVectorFamily(n, d, tuple(vectors))
 
 
-def interval_space(n: int, d: int, cap: int = GENERIC_CAP) -> RatMatrix:
+def interval_space(n: int, d: int) -> RatMatrix:
     """(d+1) x (n+d) matrix whose profile is contained in [n, n+d] with both
     endpoints achieved: columns are a generic vector family."""
     if n < 2:
         raise ShapeError("need n >= 2")
-    return generic_vectors(n, d, cap=cap).matrix()
+    return generic_vectors(n, d).matrix()
 
 
 # ---------------------------------------------------------------------------
 # odd-cardinality spaces and sign families
 
 
-def odd_space(k: int, cap: int = ODD_CAP) -> RatMatrix:
+def odd_space(k: int) -> RatMatrix:
     """k x 3^k matrix with one column per sign vector in {-1,0,1}^k.
 
     Every nonzero coefficient row has a symmetric value set containing 0,
     hence an odd number of accumulation points, and at least 3 of them."""
     if k < 1:
         raise ShapeError("need k >= 1")
-    if k > cap:
-        raise TooLargeError(f"k = {k} exceeds cap {cap}")
+    if k > ODD_CAP:
+        raise TooLargeError(f"k = {k} exceeds cap {ODD_CAP}")
     cols = list(product((-1, 0, 1), repeat=k))
     return RatMatrix.from_rows([[Fraction(e[j]) for e in cols] for j in range(k)])
 
@@ -202,8 +202,8 @@ def polygon_space(n: int, mode: str | None = None, tol: float = 1e-9) -> Polygon
         if n not in _EXACT_POLYGONS:
             raise RangeError(f"exact polygons available only for n in {{2, 3}}, got {n}")
         verts = _EXACT_POLYGONS[n]
-        xs = [v[0] for v in verts]
-        assert len(set(xs)) == len(xs)
+        if len({v[0] for v in verts}) != len(verts):
+            raise InternalError("exact polygon table has repeated abscissas")
         mat = RatMatrix.from_rows(
             [[Fraction(v[0]) for v in verts], [Fraction(v[1]) for v in verts]]
         )

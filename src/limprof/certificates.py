@@ -4,6 +4,14 @@ A certificate embeds its inputs by value, the witnesses found, and a
 verification transcript. Verification rebuilds witnesses and transcript from
 the embedded data alone with the same deterministic code paths, then demands
 bit-for-bit equality of the canonical JSON. No timestamps, no environment.
+
+``CLAIMS`` maps each claim name to its payload, a function of the
+certificate's own JSON ``params`` and ``inputs`` that returns the witnesses
+and the verification transcript (or None when no witness exists). Building
+a certificate makes the inputs, then runs the payload on them; verifying
+runs the same payload on the stored params and inputs and diffs the result
+against what is stored. Construct and verify therefore run one code path on
+one set of data.
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ from .engine import (
     profile,
     refute_interval,
 )
-from .errors import LimprofError, ShapeError
+from .errors import LimprofError
 from .geometry import approx_direction_census, escape
-from .kernel import RatMatrix, normalize_primitive, rat, rat_str, vec
+from .kernel import RatMatrix, normalize_primitive, rat_str, vec
 from .sequences import InfinitudeRelation, StepSequence, combine
 
 
@@ -82,11 +90,18 @@ class Certificate:
 
 
 # ---------------------------------------------------------------------------
-# claim builders (construct) and rebuilders (verify)
+# claim payloads: (params, inputs) -> (witnesses, verification), or None when
+# no witness exists. They read only the certificate's own JSON data, so
+# construct and verify run the same code on the same data.
 
 
-def _interval_payload(mat: RatMatrix, n: int, d: int) -> tuple[dict, dict]:
-    prof = profile(mat)
+def _witness_json(witnesses) -> dict:
+    return {str(k): [rat_str(x) for x in w] for k, w in sorted(witnesses.items())}
+
+
+def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    n, d = int(params["n"]), int(params["d"])
+    prof = profile(matrix_from_json(inputs["matrix"]))
     within = all(n <= c <= n + d for c in prof.achieved)
     endpoints = n in prof.achieved and (n + d) in prof.achieved
     verification = {
@@ -97,53 +112,32 @@ def _interval_payload(mat: RatMatrix, n: int, d: int) -> tuple[dict, dict]:
         "endpointsAchieved": endpoints,
         "pass": within and endpoints,
     }
-    witnesses = {str(k): [rat_str(x) for x in w] for k, w in sorted(prof.witnesses.items())}
-    return witnesses, verification
+    return _witness_json(prof.witnesses), verification
 
 
-def build_interval_certificate(n: int, d: int) -> Certificate:
-    mat = interval_space(n, d)
-    witnesses, verification = _interval_payload(mat, n, d)
-    return Certificate(
-        claim="interval-profile",
-        mode="exact",
-        params={"n": n, "d": d},
-        inputs={"matrix": matrix_to_json(mat)},
-        witnesses=witnesses,
-        verification=verification,
-    )
-
-
-def _odd_payload(mat: RatMatrix, k: int) -> tuple[dict, dict]:
+def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    k = int(params["k"])
+    mat = matrix_from_json(inputs["matrix"])
     if mat.cols <= 12:
         prof = profile(mat)
         counts = list(prof.achieved)
-        witnesses = {
-            str(c): [rat_str(x) for x in w] for c, w in sorted(prof.witnesses.items())
-        }
+        witnesses = _witness_json(prof.witnesses)
         method = "exact-profile"
     else:
         witnesses = {}
-        counts_set = set()
         for signs in product((-1, 0, 1), repeat=k):
             if all(s == 0 for s in signs):
                 continue
-            mu = multiplicity(mat, vec(signs))
-            if mu not in counts_set:
-                counts_set.add(mu)
-                witnesses[str(mu)] = [rat_str(x) for x in normalize_primitive(vec(signs))]
-        counts = sorted(counts_set)
+            mu = str(multiplicity(mat, vec(signs)))
+            if mu not in witnesses:
+                witnesses[mu] = [rat_str(x) for x in normalize_primitive(vec(signs))]
+        counts = sorted(int(c) for c in witnesses)
         method = "sign-pattern-census"
     all_odd = all(c % 2 == 1 for c in counts)
     at_least = all(c >= 3 for c in counts)
-    sym_ok = True
-    zero_ok = True
-    for w in witnesses.values():
-        a = vec(w)
-        values = {sum((x * c for x, c in zip(a, mat.col(j))), Fraction(0))
-                  for j in range(mat.cols)}
-        sym_ok = sym_ok and values == {-v for v in values}
-        zero_ok = zero_ok and Fraction(0) in values
+    value_sets = [set(mat.left_mul_vec(vec(w))) for w in witnesses.values()]
+    sym_ok = all(values == {-v for v in values} for values in value_sets)
+    zero_ok = all(0 in values for values in value_sets)
     verification = {
         "method": method,
         "counts": counts,
@@ -156,55 +150,19 @@ def _odd_payload(mat: RatMatrix, k: int) -> tuple[dict, dict]:
     return witnesses, verification
 
 
-def build_odd_certificate(k: int) -> Certificate:
-    mat = odd_space(k)
-    witnesses, verification = _odd_payload(mat, k)
-    return Certificate(
-        claim="odd-profile",
-        mode="exact",
-        params={"k": k},
-        inputs={"matrix": matrix_to_json(mat)},
-        witnesses=witnesses,
-        verification=verification,
-    )
-
-
-def _polygon_payload(n: int, inputs: dict) -> dict:
+def _polygon(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    n = int(params["n"])
     expected = sorted({n, n + 1, 2 * n})
     if "matrix" in inputs:
-        mat = matrix_from_json(inputs["matrix"])
-        counts = list(profile(mat).achieved)
+        counts = list(profile(matrix_from_json(inputs["matrix"])).achieved)
     else:
         verts = [tuple(p) for p in inputs["vertices"]]
         counts = list(approx_direction_census(verts, tol=float(inputs["tolerance"])))
-    return {
-        "counts": counts,
-        "expected": expected,
-        "pass": counts == expected,
-    }
+    return {}, {"counts": counts, "expected": expected, "pass": counts == expected}
 
 
-def build_polygon_certificate(n: int, mode: str | None = None) -> Certificate:
-    poly = polygon_space(n, mode=mode)
-    if poly.mode == "exact":
-        inputs = {"matrix": matrix_to_json(poly.matrix)}
-    else:
-        inputs = {
-            "vertices": [[p[0], p[1]] for p in poly.vertices],
-            "tolerance": poly.tolerance,
-        }
-    verification = _polygon_payload(n, inputs)
-    return Certificate(
-        claim="polygon-profile",
-        mode=poly.mode,
-        params={"n": n},
-        inputs=inputs,
-        witnesses={},
-        verification=verification,
-    )
-
-
-def _independent_payload(k: int, split: int) -> dict:
+def _independent(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    k, split = int(params["k"]), int(params["split"])
     fam = independent_family(k, split)
     signs = (0, 1) if split == 2 else (-1, 0, 1)
     pieces_partition = all(
@@ -215,7 +173,7 @@ def _independent_payload(k: int, split: int) -> dict:
         sum(1 for a in fam.atoms if a == pattern) == 1
         for pattern in product(signs, repeat=k)
     )
-    return {
+    return {}, {
         "atomCount": len(fam.atoms),
         "piecesPartitionUniverse": pieces_partition,
         "fullPatternsHitExactlyOneAtom": full_patterns_single,
@@ -223,23 +181,11 @@ def _independent_payload(k: int, split: int) -> dict:
     }
 
 
-def build_independent_certificate(k: int, split: int = 2) -> Certificate:
-    verification = _independent_payload(k, split)
-    return Certificate(
-        claim="independent-family",
-        mode="exact",
-        params={"k": k, "split": split},
-        inputs={},
-        witnesses={},
-        verification=verification,
-    )
-
-
-def _spaceable_payload(n_max: int, k_max: int, flavor: str) -> dict:
-    fam = spaceable_rows(n_max, k_max, flavor)
-    supports = []
-    for row in fam.rows:
-        supports.append({a.id for a, v in zip(row.partition.atoms, row.values) if v != 0})
+def _spaceable(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    n_max = int(params["nMax"])
+    fam = spaceable_rows(n_max, int(params["kMax"]), str(params["flavor"]))
+    supports = [{a.id for a, v in zip(row.partition.atoms, row.values) if v != 0}
+                for row in fam.rows]
     disjoint = all(
         not (supports[i] & supports[j])
         for i in range(len(supports))
@@ -248,7 +194,7 @@ def _spaceable_payload(n_max: int, k_max: int, flavor: str) -> dict:
     expected_sup = max(fam.ladder)
     row_sups_ok = all(row.sup_value() == expected_sup for row in fam.rows)
     ones = fam.combination([Fraction(1)] * n_max)
-    return {
+    return {}, {
         "ladder": [rat_str(v) for v in fam.ladder],
         "rows": [row.to_json() for row in fam.rows],
         "disjointSupports": disjoint,
@@ -259,21 +205,9 @@ def _spaceable_payload(n_max: int, k_max: int, flavor: str) -> dict:
     }
 
 
-def build_spaceable_certificate(n_max: int, k_max: int, flavor: str = "dyadic") -> Certificate:
-    verification = _spaceable_payload(n_max, k_max, flavor)
-    return Certificate(
-        claim="spaceable-rows",
-        mode="exact",
-        params={"nMax": n_max, "kMax": k_max, "flavor": flavor},
-        inputs={},
-        witnesses={},
-        verification=verification,
-    )
-
-
-def _refute_payload(mat: RatMatrix, n: int, d: int) -> tuple[dict, dict]:
-    w = refute_interval(mat, n, d)
-    witnesses = {"alpha": [rat_str(x) for x in w.alpha]}
+def _refute(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    n, d = int(params["n"]), int(params["d"])
+    w = refute_interval(matrix_from_json(inputs["matrix"]), n, d)
     verification = {
         "multiplicity": w.multiplicity,
         "low": n,
@@ -282,24 +216,14 @@ def _refute_payload(mat: RatMatrix, n: int, d: int) -> tuple[dict, dict]:
         "side": "below" if w.multiplicity < n else "above",
         "pass": w.escapes,
     }
-    return witnesses, verification
+    return {"alpha": [rat_str(x) for x in w.alpha]}, verification
 
 
-def build_refute_certificate(mat: RatMatrix, n: int, d: int) -> Certificate:
-    witnesses, verification = _refute_payload(mat, n, d)
-    return Certificate(
-        claim="refute-interval",
-        mode="exact",
-        params={"n": n, "d": d},
-        inputs={"matrix": matrix_to_json(mat)},
-        witnesses=witnesses,
-        verification=verification,
-    )
-
-
-def _escape_payload(x: StepSequence, y: StepSequence, rel: InfinitudeRelation,
-                    forbidden) -> tuple[dict, dict] | None:
-    w = escape(x, y, rel, forbidden)
+def _escape(params: Mapping, inputs: Mapping) -> tuple[dict, dict] | None:
+    x = StepSequence.from_json(inputs["x"])
+    y = StepSequence.from_json(inputs["y"])
+    rel = InfinitudeRelation.from_json(inputs["relation"])
+    w = escape(x, y, rel, params["forbidden"])
     if w is None:
         return None
     recombined = combine([w.alpha, w.beta], [x, y], rel)
@@ -321,24 +245,65 @@ def _escape_payload(x: StepSequence, y: StepSequence, rel: InfinitudeRelation,
     return witnesses, verification
 
 
-def build_escape_certificate(x: StepSequence, y: StepSequence,
-                             rel: InfinitudeRelation, forbidden) -> Certificate | None:
-    payload = _escape_payload(x, y, rel, forbidden)
+CLAIMS = {
+    "interval-profile": _interval,
+    "odd-profile": _odd,
+    "polygon-profile": _polygon,
+    "independent-family": _independent,
+    "spaceable-rows": _spaceable,
+    "refute-interval": _refute,
+    "escape": _escape,
+}
+
+
+# ---------------------------------------------------------------------------
+# builders: make the inputs, then run the claim's payload on them
+
+
+def _certify(claim: str, params: dict, inputs: dict, mode: str = "exact") -> Certificate | None:
+    payload = CLAIMS[claim](params, inputs)
     if payload is None:
         return None
     witnesses, verification = payload
-    return Certificate(
-        claim="escape",
-        mode="exact",
-        params={"forbidden": sorted(set(int(f) for f in forbidden))},
-        inputs={
-            "x": x.to_json(),
-            "y": y.to_json(),
-            "relation": rel.to_json(),
-        },
-        witnesses=witnesses,
-        verification=verification,
-    )
+    return Certificate(claim, mode, params, inputs, witnesses, verification)
+
+
+def build_interval_certificate(n: int, d: int) -> Certificate:
+    return _certify("interval-profile", {"n": n, "d": d},
+                    {"matrix": matrix_to_json(interval_space(n, d))})
+
+
+def build_odd_certificate(k: int) -> Certificate:
+    return _certify("odd-profile", {"k": k}, {"matrix": matrix_to_json(odd_space(k))})
+
+
+def build_polygon_certificate(n: int, mode: str | None = None) -> Certificate:
+    poly = polygon_space(n, mode=mode)
+    if poly.mode == "exact":
+        inputs = {"matrix": matrix_to_json(poly.matrix)}
+    else:
+        inputs = {"vertices": [[p[0], p[1]] for p in poly.vertices],
+                  "tolerance": poly.tolerance}
+    return _certify("polygon-profile", {"n": n}, inputs, poly.mode)
+
+
+def build_independent_certificate(k: int, split: int = 2) -> Certificate:
+    return _certify("independent-family", {"k": k, "split": split}, {})
+
+
+def build_spaceable_certificate(n_max: int, k_max: int, flavor: str = "dyadic") -> Certificate:
+    return _certify("spaceable-rows", {"nMax": n_max, "kMax": k_max, "flavor": flavor}, {})
+
+
+def build_refute_certificate(mat: RatMatrix, n: int, d: int) -> Certificate:
+    return _certify("refute-interval", {"n": n, "d": d}, {"matrix": matrix_to_json(mat)})
+
+
+def build_escape_certificate(x: StepSequence, y: StepSequence,
+                             rel: InfinitudeRelation, forbidden) -> Certificate | None:
+    """None when no combination escapes ``forbidden``."""
+    return _certify("escape", {"forbidden": sorted(set(int(f) for f in forbidden))},
+                    {"x": x.to_json(), "y": y.to_json(), "relation": rel.to_json()})
 
 
 # ---------------------------------------------------------------------------
@@ -364,36 +329,12 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Recompute witnesses and transcript from the embedded data; report
     every difference from what the certificate stored. Also fails when the
     stored transcript itself concludes the claim is false."""
-    claim = cert.claim
-    p = cert.params
-    if claim == "interval-profile":
-        mat = matrix_from_json(cert.inputs["matrix"])
-        witnesses, verification = _interval_payload(mat, int(p["n"]), int(p["d"]))
-    elif claim == "odd-profile":
-        mat = matrix_from_json(cert.inputs["matrix"])
-        witnesses, verification = _odd_payload(mat, int(p["k"]))
-    elif claim == "polygon-profile":
-        witnesses, verification = {}, _polygon_payload(int(p["n"]), cert.inputs)
-    elif claim == "independent-family":
-        witnesses, verification = {}, _independent_payload(int(p["k"]), int(p["split"]))
-    elif claim == "spaceable-rows":
-        witnesses, verification = {}, _spaceable_payload(
-            int(p["nMax"]), int(p["kMax"]), str(p["flavor"])
-        )
-    elif claim == "refute-interval":
-        mat = matrix_from_json(cert.inputs["matrix"])
-        witnesses, verification = _refute_payload(mat, int(p["n"]), int(p["d"]))
-    elif claim == "escape":
-        x = StepSequence.from_json(cert.inputs["x"])
-        y = StepSequence.from_json(cert.inputs["y"])
-        rel = InfinitudeRelation.from_json(cert.inputs["relation"])
-        payload = _escape_payload(x, y, rel, p["forbidden"])
-        if payload is None:
-            return False, ["escape: no witness found on recomputation"]
-        witnesses, verification = payload
-    else:
-        raise LimprofError(f"unknown claim {claim!r}")
-
+    if cert.claim not in CLAIMS:
+        raise LimprofError(f"unknown claim {cert.claim!r}")
+    payload = CLAIMS[cert.claim](cert.params, cert.inputs)
+    if payload is None:
+        return False, [f"{cert.claim}: no witness found on recomputation"]
+    witnesses, verification = payload
     mismatches: list[str] = []
     _diff_paths(cert.witnesses, _roundtrip(witnesses), "witnesses", mismatches)
     _diff_paths(cert.verification, _roundtrip(verification), "verification", mismatches)

@@ -2,8 +2,10 @@
 
 Subcommands: construct, profile, refute, escape, sample, verify.
 Exit codes: 0 success/verified, 1 claim fails, 2 malformed input, 3 resource
-cap. Output is deterministic given the flags — no wall clock, no randomness
-except under an explicit --seed, which only ever feeds sampled profiling.
+cap, 4 internal error (a bug in limprof, not in the input). construct and
+verify run the same per-claim payload, ``certificates.CLAIMS``. Output is
+deterministic given the flags — no wall clock, no randomness except under
+an explicit --seed, which only ever feeds sampled profiling.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from . import builders
 from .certificates import (
     Certificate,
     build_escape_certificate,
@@ -62,42 +65,34 @@ def _emit_certificate(cert: Certificate, cert_path: str | None) -> None:
 # construct
 
 
+def _family_artifact(cert: Certificate) -> dict:
+    fam = builders.independent_family(cert.params["k"], cert.params["split"])
+    return {"k": fam.k, "split": fam.split, "atoms": [list(a) for a in fam.atoms]}
+
+
+# kind -> (certificate from the parsed flags, artifact from that certificate).
+# The lambdas look the builders up at call time, so a wrapper installed on
+# this module's globals (or on limprof.builders) sees every call.
+CONSTRUCTS = {
+    "interval": (lambda a: build_interval_certificate(a.n, a.d),
+                 lambda cert: cert.inputs["matrix"]),
+    "odd": (lambda a: build_odd_certificate(a.k),
+            lambda cert: cert.inputs["matrix"]),
+    "polygon": (lambda a: build_polygon_certificate(a.n, mode=a.mode),
+                lambda cert: {**cert.inputs, "mode": cert.mode}),
+    "independent": (lambda a: build_independent_certificate(a.k, a.split),
+                    _family_artifact),
+    "spaceable": (lambda a: build_spaceable_certificate(a.n_max, a.k_max, a.flavor),
+                  lambda cert: {**cert.params, "ladder": cert.verification["ladder"],
+                                "rows": cert.verification["rows"]}),
+}
+
+
 def cmd_construct(args) -> int:
-    kind = args.kind
-    if kind == "interval":
-        cert = build_interval_certificate(args.n, args.d)
-        artifact = cert.inputs["matrix"]
-    elif kind == "odd":
-        cert = build_odd_certificate(args.k)
-        artifact = cert.inputs["matrix"]
-    elif kind == "polygon":
-        cert = build_polygon_certificate(args.n, mode=args.mode)
-        artifact = dict(cert.inputs)
-        artifact["mode"] = cert.mode
-    elif kind == "independent":
-        cert = build_independent_certificate(args.k, args.split)
-        from .builders import independent_family
-
-        fam = independent_family(args.k, args.split)
-        artifact = {
-            "k": fam.k,
-            "split": fam.split,
-            "atoms": [list(a) for a in fam.atoms],
-        }
-    elif kind == "spaceable":
-        cert = build_spaceable_certificate(args.n_max, args.k_max, args.flavor)
-        artifact = {
-            "nMax": args.n_max,
-            "kMax": args.k_max,
-            "flavor": args.flavor,
-            "ladder": cert.verification["ladder"],
-            "rows": cert.verification["rows"],
-        }
-    else:  # pragma: no cover - argparse restricts choices
-        raise LimprofError(f"unknown construct kind {kind!r}")
-
+    build, artifact = CONSTRUCTS[args.kind]
+    cert = build(args)
     if args.out:
-        _write_json(args.out, artifact)
+        _write_json(args.out, artifact(cert))
     cert_path = args.cert
     if cert_path is None and args.out:
         cert_path = str(Path(args.out).with_suffix("")) + ".cert.json"
@@ -273,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", help="build a certified example space")
-    c.add_argument("kind", choices=["interval", "odd", "polygon", "independent", "spaceable"])
+    c.add_argument("kind", choices=list(CONSTRUCTS))
     c.add_argument("--n", type=int, default=2, help="target count (interval/polygon)")
     c.add_argument("--d", type=int, default=0, help="interval width")
     c.add_argument("--k", type=int, default=2, help="generator count (odd/independent)")

@@ -23,6 +23,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateColumnsError,
+    InternalError,
     ShapeError,
     TooFewRowsError,
     TooLargeError,
@@ -270,33 +271,26 @@ def _profile_by_census(m: RatMatrix) -> MultiplicityProfile:
         # generic direction separating every column pair
         singletons = [(j,) for j in range(n)]
         w = _feasible_blocks(m, singletons)
-        assert w is not None  # columns are pairwise distinct
+        if w is None:
+            raise InternalError("distinct columns admit no separating direction")
         witnesses[n] = w
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
 
 
-def profile(m: RatMatrix, cap: int = PROFILE_CAP, method: str = "auto") -> MultiplicityProfile:
+def profile(m: RatMatrix) -> MultiplicityProfile:
     """Exact multiplicity profile {mu(alpha) : alpha != 0} with witnesses.
 
     Columns must be pairwise distinct (merge duplicates first). N is capped
-    because pattern enumeration is Bell(N). method: 'auto' (census for up to
-    two rows, patterns otherwise), 'patterns', or 'census' (rows <= 2 only).
+    at PROFILE_CAP because pattern enumeration is Bell(N). Matrices with at
+    most two rows take the direction census, the others pattern enumeration.
     """
     _require_canonical(m)
-    if m.cols > cap:
+    if m.cols > PROFILE_CAP:
         raise TooLargeError(
-            f"{m.cols} columns exceeds the profile cap {cap}; "
+            f"{m.cols} columns exceeds the profile cap {PROFILE_CAP}; "
             "use sample_profile for an under-approximation"
         )
-    if method == "auto":
-        method = "census" if m.rows <= 2 else "patterns"
-    if method == "census":
-        if m.rows > 2:
-            raise ShapeError("census method needs at most 2 rows")
-        return _profile_by_census(m)
-    if method == "patterns":
-        return _profile_by_patterns(m)
-    raise ValueError(f"unknown method {method!r}")
+    return _profile_by_census(m) if m.rows <= 2 else _profile_by_patterns(m)
 
 
 def sample_profile(
@@ -348,13 +342,15 @@ def collapse(m: RatMatrix, cols: Sequence[int]) -> tuple[Vec, Fraction]:
     sub = RatMatrix(tuple(tuple(m.entries[i][j] for j in chosen) for i in range(m.rows)))
     if sub.rank() == m.rows:
         sol = solve_affine(sub.transpose(), [Fraction(1)] * m.rows)
-        assert sol is not None and sol.is_unique
+        if sol is None or not sol.is_unique:
+            raise InternalError("collapse: full-rank system has no unique solution")
         alpha = sol.point
     else:
         alpha = nullspace(sub.transpose())[0]
     alpha = normalize_primitive(alpha)
     gamma = dot(alpha, m.col(chosen[0]))
-    assert multiplicity(m, alpha) <= m.cols - m.rows + 1
+    if multiplicity(m, alpha) > m.cols - m.rows + 1:
+        raise InternalError("collapse: witness separates more than N - rows + 1 values")
     return alpha, gamma
 
 
@@ -387,7 +383,8 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
     if m.cols > n + d:
         singletons = [(j,) for j in range(m.cols)]
         alpha = _feasible_blocks(m, singletons)
-        assert alpha is not None
+        if alpha is None:
+            raise InternalError("distinct columns admit no separating direction")
     else:
         k = min(d + 2, m.cols)
         cols = m.columns()
@@ -402,7 +399,9 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
             )  # N == 1: any nonzero row works
         alpha = normalize_primitive(alpha)
     w = RefutationWitness(alpha, multiplicity(m, alpha), n, d)
-    assert w.escapes
+    if not w.escapes:
+        raise InternalError(f"refute_interval: witness count {w.multiplicity} "
+                            f"lies inside [{n}, {n + d}]")
     return w
 
 

@@ -59,3 +59,11 @@ class DegenerateError(LimprofError):
 
 class CollinearError(LimprofError):
     code = "collinear"
+
+
+class InternalError(LimprofError):
+    """An invariant the code guarantees failed: a bug in limprof, not in the
+    input. Raised instead of ``assert``, which ``python -O`` strips."""
+
+    code = "internal"
+    exit_code = 4

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CollinearError, ShapeError
+from .errors import (
+    CollinearError,
+    DegenerateError,
+    EmptyInputError,
+    InternalError,
+    ShapeError,
+)
 from .kernel import normalize_primitive, rat, vec
 from .sequences import InfinitudeRelation, StepSequence
 
@@ -112,9 +118,9 @@ def pinchasi_search(config: PointConfig) -> tuple[Direction, int]:
         c = direction_classes(config, d)
         if best is None or c > best[1]:
             best = (d, c)
-    assert best is not None
     m = len(config)
-    assert (m + 1) // 2 <= best[1] <= m - 1
+    if best is None or not (m + 1) // 2 <= best[1] <= m - 1:
+        raise InternalError(f"pinchasi_search: {best} breaks the bounds for {m} points")
     return best
 
 
@@ -162,8 +168,8 @@ def escape(
             a, b = Fraction(1), Fraction(0)  # single value pair: x alone converges
         else:
             a, b = normalize_primitive((-direction[1], direction[0]))
-        count = len({a * px + b * py for px, py in pts})
-        assert count == 1
+        if len({a * px + b * py for px, py in pts}) != 1:
+            raise InternalError("escape: collinear points not on one level line")
         if 1 in forb:
             return None
         return EscapeWitness(a, b, 1, forb, pts)
@@ -189,7 +195,7 @@ def approx_regular_polygon(n: int, tol: float = 1e-9) -> tuple[tuple[float, floa
         if all(b - a > 10 * tol for a, b in zip(xs, xs[1:])):
             return pts
         rot += golden
-    raise RuntimeError("could not find a rotation with distinct abscissas")
+    raise InternalError("approx_regular_polygon: no rotation with distinct abscissas")
 
 
 def approx_direction_census(
@@ -199,9 +205,14 @@ def approx_direction_census(
 
     Every pair direction is censused with unit-normal functionals (value
     coincidence decided at ``tol``); the generic count len(points) is then
-    verified with explicit directions rather than assumed."""
-    pts = list(points)
+    verified with explicit directions rather than assumed. An empty or
+    repeated point raises EmptyInputError or DegenerateError."""
+    pts = [tuple(p) for p in points]
     m = len(pts)
+    if not pts:
+        raise EmptyInputError("need at least one point")
+    if len(set(pts)) != m:
+        raise DegenerateError("points must be pairwise distinct")
     counts = set()
     for i in range(m):
         for j in range(i + 1, m):
@@ -218,7 +229,7 @@ def approx_direction_census(
             break
         phi += golden
     else:
-        raise RuntimeError("no generic direction found (degenerate point set)")
+        raise DegenerateError("no generic direction found (points closer than the tolerance)")
     return tuple(sorted(counts))
 
 

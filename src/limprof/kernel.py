@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ShapeError, UnavoidableError
+from .errors import InternalError, ShapeError, UnavoidableError
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
@@ -237,7 +237,8 @@ def solve_affine(a: RatMatrix, b: Sequence[Fraction]) -> AffineSubspace | None:
 def nullspace(a: RatMatrix) -> tuple[Vec, ...]:
     """Deterministic basis of {x : A x = 0}; count = cols - rank."""
     sol = solve_affine(a, [Fraction(0)] * a.rows)
-    assert sol is not None
+    if sol is None:
+        raise InternalError("nullspace: homogeneous system reported inconsistent")
     return sol.basis
 
 
@@ -301,7 +302,7 @@ def generic_point(
                 break
         if ok:
             return space.parameter_point(t)
-    raise RuntimeError("generic_point: exhausted search shells (should not happen)")
+    raise InternalError("generic_point: exhausted search shells")
 
 
 def normalize_primitive(v: Sequence[Fraction]) -> Vec:

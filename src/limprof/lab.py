@@ -240,7 +240,7 @@ class ClusterEstimate:
 
 def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
                       epsilon: float | None = None) -> ClusterEstimate:
-    """Evaluate a prefix, keep the tail, merge values at radius epsilon.
+    """Evaluate the tail of a prefix, merge values at radius epsilon.
 
     The default epsilon is 1e-6 relative to the tail's sup value. Merging is
     single linkage on the sorted tail (split exactly at gaps > epsilon), so
@@ -249,9 +249,8 @@ def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
         raise EmptyInputError("need a nonempty prefix")
     if not 0 < tail_fraction <= 1:
         raise RangeError("tail_fraction must be in (0, 1]")
-    values = x.evaluate_floats(n)
     tail_len = max(1, math.ceil(n * tail_fraction))
-    tail = sorted(values[n - tail_len:])
+    tail = sorted(float(x.value_at(m)) for m in range(n - tail_len, n))
     if epsilon is None:
         sup = max(abs(v) for v in tail)
         epsilon = 1e-6 * sup if sup > 0 else 1e-6

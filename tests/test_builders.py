@@ -12,7 +12,7 @@ from limprof.builders import (
     spaceable_rows,
     value_ladder,
 )
-from limprof.engine import multiplicity, profile, refute_interval
+from limprof.engine import _profile_by_patterns, multiplicity, profile, refute_interval
 from limprof.errors import RangeError, TooLargeError
 from limprof.kernel import RatMatrix, vec
 from limprof.sequences import combine
@@ -151,7 +151,7 @@ def test_nonconvergent_span():
     m2 = nonconvergent_span(2)
     assert multiplicity(m2, vec([1, 1])) == 3
     m3 = nonconvergent_span(3)
-    prof = profile(m3, method="patterns")
+    prof = _profile_by_patterns(m3)
     assert prof.min() >= 2
 
 

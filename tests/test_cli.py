@@ -212,3 +212,33 @@ def test_verify_tampered_exit_1(workdir):
 def test_missing_file_exit_2():
     p = run_cli("verify", "/nonexistent/cert.json")
     assert p.returncode == 2
+
+
+@pytest.mark.parametrize("vertices, error", [
+    ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], "degenerate"),
+    ([], "empty"),
+])
+def test_verify_malformed_polygon_certificate_exit_2(workdir, vertices, error):
+    out = workdir / "p.json"
+    run_cli("construct", "polygon", "--n", "4", "--out", str(out))
+    cert_path = workdir / "p.cert.json"
+    cert = json.loads(cert_path.read_text())
+    cert["inputs"]["vertices"] = vertices
+    cert_path.write_text(json.dumps(cert))
+    p = run_cli("verify", str(cert_path))
+    assert p.returncode == 2, p.stderr
+    assert json.loads(p.stderr)["error"] == error
+    assert "Traceback" not in p.stderr
+
+
+def test_internal_error_exit_4(workdir, monkeypatch, capsys):
+    """A broken invariant is a library bug: exit 4, never 1 or 2."""
+    from limprof import cli, engine
+
+    path = workdir / "m.json"
+    path.write_text(json.dumps(
+        {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]}
+    ))
+    monkeypatch.setattr(engine, "multiplicity", lambda m, alpha: 2)
+    assert cli.main(["refute", str(path), "--n", "2", "--d", "0"]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "internal"

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from limprof.engine import (
     CoincidencePattern,
+    _profile_by_census,
+    _profile_by_patterns,
     collapse,
     matrix_from_json,
     matrix_to_json,
@@ -82,7 +84,7 @@ def test_profile_examples():
 
 
 def test_profile_witnesses_are_exact():
-    prof = profile(M23, method="patterns")
+    prof = _profile_by_patterns(M23)
     for count, alpha in prof.witnesses.items():
         assert multiplicity(M23, alpha) == count
 
@@ -254,8 +256,8 @@ def test_census_matches_pattern_enumeration():
         m = RatMatrix.from_rows(
             [[c[0] for c in cols], [c[1] for c in cols]]
         )
-        by_census = profile(m, method="census")
-        by_patterns = profile(m, method="patterns")
+        by_census = _profile_by_census(m)
+        by_patterns = _profile_by_patterns(m)
         assert by_census.achieved == by_patterns.achieved
         for count, alpha in by_census.witnesses.items():
             assert multiplicity(m, alpha) == count
@@ -271,7 +273,7 @@ def test_sample_profile_is_lower_bound():
             cols.add(tuple(rng.randint(-3, 3) for _ in range(rows)))
         cols = sorted(cols)
         m = RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)])
-        exact = profile(m, method="patterns")
+        exact = _profile_by_patterns(m)
         sampled = sample_profile(m, max_norm=3)
         assert set(sampled.achieved) <= set(exact.achieved)
         assert m.cols in sampled.achieved  # generic direction always sampled

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -234,6 +235,25 @@ def test_estimate_clusters_fq_powers():
             abs(center - t) for t in [0.0] + [0.5 ** j for j in range(20)]
         )
         assert nearest < 1e-3
+
+
+def test_estimate_clusters_evaluates_only_the_tail():
+    """value_at is a pure function of the index, so the head of the prefix
+    is never needed: exactly tail_len calls, all of them inside the tail."""
+    base = gen_combo([1, 1], [Fraction(1, 2), Fraction(1, 3)])
+    for n, tail in ((1000, 0.5), (1001, 0.25), (7, 1.0)):
+        seen = []
+
+        def value_at(m):
+            seen.append(m)
+            return base.value_at(m)
+
+        counted = PrefixSequence(base.descriptor, value_at)
+        est = estimate_clusters(counted, n, tail_fraction=tail, epsilon=1e-4)
+        tail_len = math.ceil(n * tail)
+        assert sorted(seen) == list(range(n - tail_len, n))
+        assert sum(k for _, k in est.centers) == tail_len
+        assert est == estimate_clusters(base, n, tail_fraction=tail, epsilon=1e-4)
 
 
 def test_cluster_count_monotone_in_length():
