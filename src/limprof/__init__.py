@@ -36,7 +36,6 @@ from .certificates import (
     verify_certificate,
 )
 from .engine import (
-    CoincidencePattern,
     MultiplicityProfile,
     NestingVerdict,
     RefutationWitness,
@@ -46,7 +45,6 @@ from .engine import (
     merge_columns,
     multiplicity,
     nesting_check,
-    pattern_feasible,
     profile,
     refute_interval,
     sample_profile,
@@ -59,6 +57,7 @@ from .errors import (
     DegenerateError,
     DuplicateColumnsError,
     EmptyInputError,
+    InternalError,
     LimprofError,
     RangeError,
     ShapeError,
@@ -112,7 +111,6 @@ from .sequences import (
     InfinitudeRelation,
     StepSequence,
     SymbolicPartition,
-    accumulation_points,
     canonicalize,
     combine,
     step_sequence,
@@ -125,13 +123,12 @@ __all__ = [
     "normalize_primitive", "nullspace", "rat", "rat_str", "solve_affine", "vec",
     # sequences
     "Atom", "InfinitudeRelation", "StepSequence", "SymbolicPartition",
-    "accumulation_points", "canonicalize", "combine", "step_sequence",
+    "canonicalize", "combine", "step_sequence",
     # engine
-    "CoincidencePattern", "MultiplicityProfile", "NestingVerdict",
-    "RefutationWitness", "collapse", "matrix_from_json", "matrix_to_json",
-    "merge_columns", "multiplicity", "nesting_check", "pattern_feasible",
-    "profile", "refute_interval", "sample_profile", "separation_radius",
-    "set_partitions",
+    "MultiplicityProfile", "NestingVerdict", "RefutationWitness", "collapse",
+    "matrix_from_json", "matrix_to_json", "merge_columns", "multiplicity",
+    "nesting_check", "profile", "refute_interval", "sample_profile",
+    "separation_radius", "set_partitions",
     # geometry
     "Direction", "EscapeWitness", "PointConfig", "approx_direction_census",
     "approx_regular_polygon", "collinear", "direction_classes", "escape",
@@ -155,7 +152,6 @@ __all__ = [
     # errors
     "BadRelationError", "CollinearError", "DegenerateError",
     "DuplicateColumnsError", "EmptyInputError", "InternalError", "LimprofError",
-    "RangeError",
-    "ShapeError", "TooFewRowsError", "TooLargeError", "UnavoidableError",
-    "ZeroDirectionError",
+    "RangeError", "ShapeError", "TooFewRowsError", "TooLargeError",
+    "UnavoidableError", "ZeroDirectionError",
 ]

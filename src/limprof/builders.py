@@ -13,10 +13,15 @@ from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
-from .errors import InternalError, RangeError, ShapeError, TooLargeError
+from .errors import InternalError, ShapeError, TooLargeError
 from .kernel import RatMatrix, Vec, integer_tuples, rank_of_vectors, vec
 from .engine import profile, set_partitions
-from .geometry import approx_direction_census, approx_regular_polygon
+from .geometry import (
+    POLYGON_CAP,
+    POLYGON_TOLERANCE,
+    approx_direction_census,
+    approx_regular_polygon,
+)
 from .rationals import first_unit_rationals
 from .sequences import StepSequence, combine, step_sequence
 
@@ -174,8 +179,8 @@ class PolygonSpace:
     """Vertices of an (affinely) regular 2n-gon as a 2-row value matrix.
 
     Exact mode (n in {2, 3}) uses rational affine images with pairwise
-    distinct abscissas; approximate mode uses float vertices of the regular
-    polygon and a tolerance-based direction census."""
+    distinct abscissas; approximate mode (every other n) uses float vertices
+    of the regular polygon and a direction census at POLYGON_TOLERANCE."""
 
     n: int
     mode: str
@@ -193,14 +198,12 @@ _EXACT_POLYGONS = {
 }
 
 
-def polygon_space(n: int, mode: str | None = None, tol: float = 1e-9) -> PolygonSpace:
+def polygon_space(n: int) -> PolygonSpace:
     if n < 2:
         raise ShapeError("need n >= 2")
-    if mode is None:
-        mode = "exact" if n in _EXACT_POLYGONS else "approximate"
-    if mode == "exact":
-        if n not in _EXACT_POLYGONS:
-            raise RangeError(f"exact polygons available only for n in {{2, 3}}, got {n}")
+    if n > POLYGON_CAP:
+        raise TooLargeError(f"n = {n} exceeds cap {POLYGON_CAP}")
+    if n in _EXACT_POLYGONS:
         verts = _EXACT_POLYGONS[n]
         if len({v[0] for v in verts}) != len(verts):
             raise InternalError("exact polygon table has repeated abscissas")
@@ -209,11 +212,10 @@ def polygon_space(n: int, mode: str | None = None, tol: float = 1e-9) -> Polygon
         )
         counts = profile(mat).achieved
         return PolygonSpace(n, "exact", counts, matrix=mat)
-    if mode == "approximate":
-        verts = approx_regular_polygon(n, tol=tol)
-        counts = approx_direction_census(verts, tol=tol)
-        return PolygonSpace(n, "approximate", counts, vertices=verts, tolerance=tol)
-    raise ShapeError(f"unknown mode {mode!r}")
+    verts = approx_regular_polygon(n)
+    counts = approx_direction_census(verts, tol=POLYGON_TOLERANCE)
+    return PolygonSpace(n, "approximate", counts, vertices=verts,
+                        tolerance=POLYGON_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ one set of data.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,6 +32,7 @@ from .builders import (
     spaceable_rows,
 )
 from .engine import (
+    PROFILE_CAP,
     matrix_from_json,
     matrix_to_json,
     multiplicity,
@@ -118,7 +120,7 @@ def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
 def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     k = int(params["k"])
     mat = matrix_from_json(inputs["matrix"])
-    if mat.cols <= 12:
+    if mat.cols <= PROFILE_CAP:
         prof = profile(mat)
         counts = list(prof.achieved)
         witnesses = _witness_json(prof.witnesses)
@@ -169,10 +171,8 @@ def _independent(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
         sorted(i for s in signs for i in fam.piece(g, s)) == list(range(len(fam.atoms)))
         for g in range(k)
     )
-    full_patterns_single = all(
-        sum(1 for a in fam.atoms if a == pattern) == 1
-        for pattern in product(signs, repeat=k)
-    )
+    hits = Counter(fam.atoms)
+    full_patterns_single = all(hits[pattern] == 1 for pattern in product(signs, repeat=k))
     return {}, {
         "atomCount": len(fam.atoms),
         "piecesPartitionUniverse": pieces_partition,
@@ -277,8 +277,8 @@ def build_odd_certificate(k: int) -> Certificate:
     return _certify("odd-profile", {"k": k}, {"matrix": matrix_to_json(odd_space(k))})
 
 
-def build_polygon_certificate(n: int, mode: str | None = None) -> Certificate:
-    poly = polygon_space(n, mode=mode)
+def build_polygon_certificate(n: int) -> Certificate:
+    poly = polygon_space(n)
     if poly.mode == "exact":
         inputs = {"matrix": matrix_to_json(poly.matrix)}
     else:

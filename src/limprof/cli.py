@@ -78,7 +78,7 @@ CONSTRUCTS = {
                  lambda cert: cert.inputs["matrix"]),
     "odd": (lambda a: build_odd_certificate(a.k),
             lambda cert: cert.inputs["matrix"]),
-    "polygon": (lambda a: build_polygon_certificate(a.n, mode=a.mode),
+    "polygon": (lambda a: build_polygon_certificate(a.n),
                 lambda cert: {**cert.inputs, "mode": cert.mode}),
     "independent": (lambda a: build_independent_certificate(a.k, a.split),
                     _family_artifact),
@@ -276,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-max", type=int, default=3, dest="n_max")
     c.add_argument("--k-max", type=int, default=8, dest="k_max")
     c.add_argument("--flavor", default="dyadic", choices=["dyadic", "rational-dense"])
-    c.add_argument("--mode", default=None, choices=["exact", "approximate"])
     c.add_argument("--out", default=None, help="artifact JSON path")
     c.add_argument("--cert", default=None, help="certificate path (stdout if omitted)")
     c.set_defaults(func=cmd_construct)

@@ -94,34 +94,6 @@ def merge_columns(m: RatMatrix) -> tuple[RatMatrix, tuple[tuple[int, ...], ...]]
 # coincidence patterns
 
 
-@dataclass(frozen=True)
-class CoincidencePattern:
-    """A set partition of the column indices: which entries of a^T M coincide."""
-
-    blocks: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        seen = sorted(i for b in self.blocks for i in b)
-        if not self.blocks or seen != list(range(len(seen))):
-            raise ShapeError("blocks must partition 0..N-1")
-
-    @classmethod
-    def from_assignment(cls, assignment: Sequence[int]) -> "CoincidencePattern":
-        byblock: dict[int, list[int]] = {}
-        for col, b in enumerate(assignment):
-            byblock.setdefault(b, []).append(col)
-        blocks = sorted((tuple(v) for v in byblock.values()), key=lambda b: b[0])
-        return cls(tuple(blocks))
-
-    @property
-    def num_columns(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
-
-
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
     """Restricted growth strings of length n in lexicographic order.
 
@@ -189,12 +161,6 @@ def _feasible_blocks(m: RatMatrix, blocks: Sequence[Sequence[int]]) -> Vec | Non
     origin = tuple(Fraction(0) for _ in range(m.rows))
     alpha = generic_point(AffineSubspace(origin, basis), cross)
     return normalize_primitive(alpha)
-
-
-def pattern_feasible(m: RatMatrix, pattern: CoincidencePattern) -> Vec | None:
-    if pattern.num_columns != m.cols:
-        raise ShapeError("pattern must partition exactly the matrix columns")
-    return _feasible_blocks(m, pattern.blocks)
 
 
 # ---------------------------------------------------------------------------

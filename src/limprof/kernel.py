@@ -196,15 +196,6 @@ class AffineSubspace:
                 p = vadd(p, vscale(Fraction(t), b))
         return p
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        if len(x) != self.ambient_dim:
-            return False
-        delta = tuple(a - b for a, b in zip(x, self.point))
-        if is_zero_vec(delta):
-            return True
-        base = rank_of_vectors(self.basis)
-        return rank_of_vectors(list(self.basis) + [delta]) == base
-
 
 def solve_affine(a: RatMatrix, b: Sequence[Fraction]) -> AffineSubspace | None:
     """Exact solution set of A x = b, or None when the system is infeasible.
@@ -271,11 +262,7 @@ def integer_tuples(dim: int, max_shell: int = 1000) -> Iterator[tuple[int, ...]]
                 yield t
 
 
-def generic_point(
-    space: AffineSubspace,
-    avoid: Sequence[Sequence[Fraction]] = (),
-    max_shell: int = 1000,
-) -> Vec:
+def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = ()) -> Vec:
     """First point of ``space`` (in enumeration order) off every functional.
 
     ``avoid`` holds linear functionals on the ambient space, each required to
@@ -293,7 +280,7 @@ def generic_point(
                 "functional vanishes identically on the search space"
             )
         reduced.append((c0, cs))
-    for t in integer_tuples(space.dim, max_shell=max_shell):
+    for t in integer_tuples(space.dim):
         ok = True
         for c0, cs in reduced:
             val = c0 + sum((Fraction(x) * c for x, c in zip(t, cs)), Fraction(0))

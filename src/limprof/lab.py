@@ -78,33 +78,25 @@ class PrefixSequence:
 
     descriptor: str
     value_at: Callable[[int], Fraction]
-    exact: bool = True
 
     def evaluate(self, n: int) -> list[Fraction]:
         return [self.value_at(m) for m in range(n)]
 
-    def evaluate_floats(self, n: int) -> list[float]:
-        return [float(self.value_at(m)) for m in range(n)]
+
+# The single-index generators put level j on dyadic atom j.
+_DYADIC = AtomRealization("dyadic-valuation")
 
 
-def _single_index(realization: AtomRealization | None) -> AtomRealization:
-    r = realization or realize_atoms("dyadic-valuation")
-    if r.scheme != "dyadic-valuation":
-        raise ShapeError("this generator needs a single-index atom realization")
-    return r
-
-
-def gen_fq(q, realization: AtomRealization | None = None) -> PrefixSequence:
+def gen_fq(q) -> PrefixSequence:
     """Value q^j on atom j: one sequence whose accumulation points are all
     powers of q together with their limit 0."""
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
-    r = _single_index(realization)
     cache: dict[int, Fraction] = {}
 
     def value_at(m: int) -> Fraction:
-        j = r.label(m)
+        j = _DYADIC.label(m)
         if j not in cache:
             cache[j] = q**j
         return cache[j]
@@ -133,15 +125,13 @@ def combo_values(d: Sequence, q: Sequence) -> Callable[[int], Fraction]:
     return h
 
 
-def gen_combo(d: Sequence, q: Sequence,
-              realization: AtomRealization | None = None) -> PrefixSequence:
+def gen_combo(d: Sequence, q: Sequence) -> PrefixSequence:
     """Value h_j = sum_t d_t q_t^j on atom j. Distinct ratios in (0, 1) give
     infinitely many distinct h_j, so prefixes keep sprouting new clusters."""
     h = combo_values(d, q)
-    r = _single_index(realization)
     return PrefixSequence(
         f"combo(d={[str(rat(x)) for x in d]},q={[str(rat(x)) for x in q]})",
-        lambda m: h(r.label(m)),
+        lambda m: h(_DYADIC.label(m)),
     )
 
 
@@ -168,31 +158,25 @@ def h_sequence(d: Sequence, q: Sequence, j_count: int) -> HSequenceReport:
     return HSequenceReport(values, repeats)
 
 
-def gen_rich(q, realization: AtomRealization | None = None,
-             enumeration: Callable[[int], Fraction] | None = None) -> PrefixSequence:
+def gen_rich(q) -> PrefixSequence:
     """Value q^j * r_i at the i-th index of atom j, where r is a fixed
     enumeration of the rationals in (0, 1): every scaled copy q^j * (0,1)
     fills in densely as the prefix grows."""
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
-    r = _single_index(realization)
-    if enumeration is None:
-        rats: list[Fraction] = []
-        it = unit_rationals()
-
-        def enumeration(i: int) -> Fraction:
-            while len(rats) <= i:
-                rats.append(next(it))
-            return rats[i]
-
+    rats: list[Fraction] = []
+    it = unit_rationals()
     powers: dict[int, Fraction] = {}
 
     def value_at(m: int) -> Fraction:
-        j = r.label(m)
+        j = _DYADIC.label(m)
         if j not in powers:
             powers[j] = q**j
-        return powers[j] * enumeration(r.rank(m))
+        i = _DYADIC.rank(m)
+        while len(rats) <= i:
+            rats.append(next(it))
+        return powers[j] * rats[i]
 
     return PrefixSequence(f"rich(q={q})", value_at)
 

@@ -24,12 +24,9 @@ from .kernel import rat, rat_str
 
 @dataclass(frozen=True)
 class Atom:
-    """One infinite piece of the index set. ``realization`` is an optional
-    descriptor tying the atom to a concrete subset of the naturals (see the
-    numeric lab); it plays no role in symbolic computations."""
+    """One infinite piece of the index set."""
 
     id: str
-    realization: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -154,12 +151,6 @@ class InfinitudeRelation:
         return cls(left, right, ps)
 
     @classmethod
-    def identity(cls, partition: SymbolicPartition) -> "InfinitudeRelation":
-        """Relation of a partition with itself: atoms only meet themselves."""
-        ps = frozenset((i, i) for i in range(len(partition)))
-        return cls(partition, partition, ps)
-
-    @classmethod
     def nested(cls, left: SymbolicPartition, right: SymbolicPartition,
                assignment: Sequence[int]) -> "InfinitudeRelation":
         """Each right atom contained (mod finite) in the assigned left atom."""
@@ -280,8 +271,3 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
         values.append(sum((cs[live[u]] * xs[live[u]].values[comp[u]]
                            for u in range(len(live))), Fraction(0)))
     return canonicalize(SymbolicPartition.from_ids(atoms), values)
-
-
-def accumulation_points(x: StepSequence) -> frozenset[Fraction]:
-    """The (finite) set of accumulation points of a canonical step sequence."""
-    return x.accumulation_points()

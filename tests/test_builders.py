@@ -13,7 +13,7 @@ from limprof.builders import (
     value_ladder,
 )
 from limprof.engine import _profile_by_patterns, multiplicity, profile, refute_interval
-from limprof.errors import RangeError, TooLargeError
+from limprof.errors import TooLargeError
 from limprof.kernel import RatMatrix, vec
 from limprof.sequences import combine
 
@@ -115,11 +115,6 @@ def test_polygon_exact_abscissas_distinct():
         m = polygon_space(n).matrix
         xs = list(m.row(0))
         assert len(set(xs)) == len(xs)
-
-
-def test_polygon_exact_only_small():
-    with pytest.raises(RangeError):
-        polygon_space(4, mode="exact")
 
 
 def test_polygon_approximate_profiles():

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
+from limprof import certificates
 from limprof.certificates import (
     Certificate,
     build_escape_certificate,
@@ -66,6 +68,20 @@ def test_independent_certificate():
     assert cert.verification["atomCount"] == 8
     ok, _ = verify_certificate(roundtrip(cert))
     assert ok
+
+
+def test_independent_certificate_detects_a_repeated_atom(monkeypatch):
+    real = certificates.independent_family
+
+    def repeated(k, split):
+        fam = real(k, split)
+        return dataclasses.replace(fam, atoms=fam.atoms + fam.atoms[:1])
+
+    monkeypatch.setattr(certificates, "independent_family", repeated)
+    cert = build_independent_certificate(2, 3)
+    assert cert.verification["piecesPartitionUniverse"]
+    assert not cert.verification["fullPatternsHitExactlyOneAtom"]
+    assert not cert.holds
 
 
 def test_spaceable_certificate():

@@ -231,6 +231,29 @@ def test_verify_malformed_polygon_certificate_exit_2(workdir, vertices, error):
     assert "Traceback" not in p.stderr
 
 
+def test_construct_polygon_over_cap_exit_3():
+    from limprof.geometry import POLYGON_CAP
+
+    p = run_cli("construct", "polygon", "--n", str(POLYGON_CAP + 1))
+    assert p.returncode == 3, p.stderr
+    assert json.loads(p.stderr)["error"] == "too-large"
+
+
+def test_verify_oversized_polygon_certificate_exit_3(workdir):
+    from limprof.geometry import POLYGON_CAP
+
+    out = workdir / "p.json"
+    run_cli("construct", "polygon", "--n", "4", "--out", str(out))
+    cert_path = workdir / "p.cert.json"
+    cert = json.loads(cert_path.read_text())
+    cert["inputs"]["vertices"] = [[float(i), float(i * i)]
+                                  for i in range(2 * POLYGON_CAP + 1)]
+    cert_path.write_text(json.dumps(cert))
+    p = run_cli("verify", str(cert_path))
+    assert p.returncode == 3, p.stderr
+    assert json.loads(p.stderr)["error"] == "too-large"
+
+
 def test_internal_error_exit_4(workdir, monkeypatch, capsys):
     """A broken invariant is a library bug: exit 4, never 1 or 2."""
     from limprof import cli, engine

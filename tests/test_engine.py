@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limprof.engine import (
-    CoincidencePattern,
+    _feasible_blocks,
     _profile_by_census,
     _profile_by_patterns,
     collapse,
@@ -15,7 +15,6 @@ from limprof.engine import (
     merge_columns,
     multiplicity,
     nesting_check,
-    pattern_feasible,
     profile,
     refute_interval,
     sample_profile,
@@ -66,15 +65,14 @@ def test_set_partitions_order():
 
 
 def test_pattern_feasible_examples():
-    pat = CoincidencePattern.from_assignment([0, 0, 1])
-    alpha = pattern_feasible(M23, pat)
+    alpha = _feasible_blocks(M23, [(0, 1), (2,)])
     assert alpha is not None
     # within-block equality and cross-block distinctness
     row = M23.left_mul_vec(alpha)
     assert row[0] == row[1] != row[2]
-    assert pattern_feasible(M23, CoincidencePattern.from_assignment([0, 0, 0])) is None
+    assert _feasible_blocks(M23, [(0, 1, 2)]) is None
     single = RatMatrix.from_rows([[1, 2]])
-    alpha = pattern_feasible(single, CoincidencePattern.from_assignment([0, 1]))
+    alpha = _feasible_blocks(single, [(0,), (1,)])
     assert alpha is not None
 
 

@@ -24,6 +24,12 @@ def test_no_assert_statements_in_the_package():
     assert not found, found
 
 
+def test_star_import_resolves_every_public_name():
+    namespace = {}
+    exec("from limprof import *", namespace)
+    assert [name for name in limprof.__all__ if name not in namespace] == []
+
+
 def test_refute_witness_that_does_not_escape_raises(monkeypatch):
     m = RatMatrix.from_rows([[0, 1], [1, 0]])
     assert engine.refute_interval(m, 2, 0).escapes

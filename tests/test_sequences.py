@@ -9,7 +9,6 @@ from limprof.sequences import (
     InfinitudeRelation,
     StepSequence,
     SymbolicPartition,
-    accumulation_points,
     canonicalize,
     combine,
     step_sequence,
@@ -41,7 +40,7 @@ def test_canonicalize_merges_equal_values():
 
 def test_accumulation_points_and_sup():
     x = seq(("a", -3), ("b", 1))
-    assert accumulation_points(x) == {Fraction(-3), Fraction(1)}
+    assert x.accumulation_points() == {Fraction(-3), Fraction(1)}
     assert x.sup_value() == Fraction(3)
     assert x.num_atoms == 2
 
