@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Sequence
 
@@ -180,14 +181,21 @@ class PolygonSpace:
 
     Exact mode (n in {2, 3}) uses rational affine images with pairwise
     distinct abscissas; approximate mode (every other n) uses float vertices
-    of the regular polygon and a direction census at POLYGON_TOLERANCE."""
+    of the regular polygon and a direction census at POLYGON_TOLERANCE.
+    ``counts`` is computed on first access: the certificate recounts from
+    its own stored inputs and never reads it."""
 
     n: int
     mode: str
-    counts: tuple[int, ...]
     matrix: RatMatrix | None = None
     vertices: tuple[tuple[float, float], ...] | None = None
     tolerance: float | None = None
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        if self.mode == "exact":
+            return profile(self.matrix).achieved
+        return approx_direction_census(self.vertices, tol=self.tolerance)
 
 
 _EXACT_POLYGONS = {
@@ -210,11 +218,8 @@ def polygon_space(n: int) -> PolygonSpace:
         mat = RatMatrix.from_rows(
             [[Fraction(v[0]) for v in verts], [Fraction(v[1]) for v in verts]]
         )
-        counts = profile(mat).achieved
-        return PolygonSpace(n, "exact", counts, matrix=mat)
-    verts = approx_regular_polygon(n)
-    counts = approx_direction_census(verts, tol=POLYGON_TOLERANCE)
-    return PolygonSpace(n, "approximate", counts, vertices=verts,
+        return PolygonSpace(n, "exact", matrix=mat)
+    return PolygonSpace(n, "approximate", vertices=approx_regular_polygon(n),
                         tolerance=POLYGON_TOLERANCE)
 
 

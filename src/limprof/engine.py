@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -35,6 +36,7 @@ from .kernel import (
     Vec,
     dot,
     generic_point,
+    integer_multiple,
     integer_tuples,
     is_zero_vec,
     normalize_primitive,
@@ -125,40 +127,54 @@ def multiplicity(m: RatMatrix, alpha: Sequence) -> int:
     return len(set(m.left_mul_vec(a)))
 
 
-def _feasible_blocks(m: RatMatrix, blocks: Sequence[Sequence[int]]) -> Vec | None:
-    """Witness alpha != 0 whose coincidence pattern is exactly ``blocks``,
-    or None when no such alpha exists.
+def _integer_columns(m: RatMatrix) -> list[tuple[int, ...]]:
+    """The columns of M times one common denominator of its entries.
+
+    A common multiplier keeps every column difference a nonzero multiple of
+    the rational one, so nullspaces and vanishing tests are unchanged."""
+    mult = lcm(*(x.denominator for row in m.entries for x in row))
+    return [
+        tuple(x.numerator * (mult // x.denominator) for x in col) for col in m.columns()
+    ]
+
+
+def _feasible_blocks(
+    cols: Sequence[tuple[int, ...]], blocks: Sequence[Sequence[int]]
+) -> Vec | None:
+    """Witness alpha != 0 whose coincidence pattern on the columns ``cols``
+    (see ``_integer_columns``) is exactly ``blocks``, or None when no such
+    alpha exists.
 
     Within-block equalities define a linear subspace; cross-block separations
     are checked as functionals not identically zero on it, then realized
     simultaneously by a deterministic generic point.
     """
-    cols = m.columns()
+    rows = len(cols[0])
     constraints = []
     for block in blocks:
         lead = cols[block[0]]
         for j in block[1:]:
-            diff = tuple(a - b for a, b in zip(cols[j], lead))
-            constraints.append(diff)
+            constraints.append(tuple(Fraction(a - b) for a, b in zip(cols[j], lead)))
     if constraints:
         basis = nullspace(RatMatrix(tuple(constraints)))
     else:
         basis = tuple(
-            tuple(Fraction(int(i == k)) for i in range(m.rows)) for k in range(m.rows)
+            tuple(Fraction(int(i == k)) for i in range(rows)) for k in range(rows)
         )
     if not basis:
         return None  # only alpha = 0 satisfies the equalities
+    int_basis = [integer_multiple(bv) for bv in basis]
     leaders = [block[0] for block in blocks]
     cross = []
     for s in range(len(leaders)):
         for t in range(s + 1, len(leaders)):
             f = tuple(a - b for a, b in zip(cols[leaders[s]], cols[leaders[t]]))
-            if all(dot(f, bv) == 0 for bv in basis):
+            if not any(sum(a * b for a, b in zip(f, bv)) for bv in int_basis):
                 return None  # the pattern forces these two blocks to coincide
-            cross.append(f)
+            cross.append(tuple(Fraction(a) for a in f))
     if not cross:
         return normalize_primitive(basis[0])
-    origin = tuple(Fraction(0) for _ in range(m.rows))
+    origin = tuple(Fraction(0) for _ in range(rows))
     alpha = generic_point(AffineSubspace(origin, basis), cross)
     return normalize_primitive(alpha)
 
@@ -204,6 +220,7 @@ def _require_canonical(m: RatMatrix) -> None:
 
 def _profile_by_patterns(m: RatMatrix) -> MultiplicityProfile:
     witnesses: dict[int, Vec] = {}
+    cols = _integer_columns(m)
     for assignment in set_partitions(m.cols):
         b = max(assignment) + 1
         if b in witnesses:
@@ -212,7 +229,7 @@ def _profile_by_patterns(m: RatMatrix) -> MultiplicityProfile:
         for col, blk in enumerate(assignment):
             byblock.setdefault(blk, []).append(col)
         blocks = sorted((tuple(v) for v in byblock.values()), key=lambda x: x[0])
-        w = _feasible_blocks(m, blocks)
+        w = _feasible_blocks(cols, blocks)
         if w is not None:
             witnesses[b] = w
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
@@ -236,7 +253,7 @@ def _profile_by_census(m: RatMatrix) -> MultiplicityProfile:
     if n not in witnesses:
         # generic direction separating every column pair
         singletons = [(j,) for j in range(n)]
-        w = _feasible_blocks(m, singletons)
+        w = _feasible_blocks(_integer_columns(m), singletons)
         if w is None:
             raise InternalError("distinct columns admit no separating direction")
         witnesses[n] = w
@@ -348,7 +365,7 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
     _require_canonical(m)
     if m.cols > n + d:
         singletons = [(j,) for j in range(m.cols)]
-        alpha = _feasible_blocks(m, singletons)
+        alpha = _feasible_blocks(_integer_columns(m), singletons)
         if alpha is None:
             raise InternalError("distinct columns admit no separating direction")
     else:

@@ -1,7 +1,11 @@
 """Exact rational linear algebra with deterministic pivoting and point search.
 
-All arithmetic is over ``fractions.Fraction`` (canonical p/q, reduced, positive
-denominator), so every result here is exact and reproducible bit for bit.
+Inputs and outputs are ``fractions.Fraction`` (canonical p/q, reduced,
+positive denominator), so every result here is exact and reproducible bit
+for bit. Inside, elimination and the point search run on Python ints: each
+row (or vector) is scaled once by the lcm of its denominators, which changes
+neither the pivots, the reduced row echelon form nor which functionals
+vanish, and only the entries a caller reads are turned back into Fractions.
 
 Determinism contracts:
 
@@ -24,11 +28,15 @@ from .errors import InternalError, ShapeError, UnavoidableError
 Rat = Fraction
 Vec = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)
+
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"refusing bool {x!r} as a rational")
     if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
@@ -122,15 +130,30 @@ class RatMatrix:
         )
 
     def rank(self) -> int:
-        _, pivots = _rref([list(r) for r in self.entries])
-        return len(pivots)
+        return len(_eliminate([integer_multiple(r) for r in self.entries]))
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (matrix, pivot columns).
+def integer_multiple(v: Sequence[Fraction]) -> list[int]:
+    """``v`` times the lcm of its denominators: its least integer multiple.
+
+    Scaling by a positive integer keeps pivots, nullspaces and the sign of
+    every dot product, so exact tests may run on the ints instead."""
+    dens = [x.denominator for x in v]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in v]
+    return [x.numerator * (den // d) for x, d in zip(v, dens)]
+
+
+def _eliminate(rows: list[list[int]]) -> list[int]:
+    """Gauss-Jordan elimination on integer rows in place; returns pivot columns.
 
     Pivot selection is deterministic: scan columns left to right, take the
-    first row (top to bottom) with a nonzero entry.
+    first row (top to bottom) with a nonzero entry. A row is cleared at a
+    pivot by cross-multiplication, then divided by the gcd of its entries.
+    Afterwards row i < rank is zero in every pivot column but its own,
+    ``pivots[i]``, and the rows from rank on are zero; dividing row i by its
+    pivot entry gives row i of the reduced row echelon form.
     """
     m = len(rows)
     n = len(rows[0]) if m else 0
@@ -139,32 +162,44 @@ def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     for c in range(n):
         sel = None
         for r in range(pr, m):
-            if rows[r][c] != 0:
+            if rows[r][c]:
                 sel = r
                 break
         if sel is None:
             continue
         rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = rows[pr][c]
-        rows[pr] = [x / inv for x in rows[pr]]
+        prow = rows[pr]
+        p = prow[c]
         for r in range(m):
-            if r != pr and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+            f = rows[r][c]
+            if f and r != pr:
+                new = [p * a - f * b for a, b in zip(rows[r], prow)]
+                g = gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
         piv_cols.append(c)
         pr += 1
         if pr == m:
             break
-    return rows, piv_cols
+    return piv_cols
+
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of rational rows; returns (matrix, pivot columns).
+
+    The elimination runs on integer multiples of the rows (``_eliminate``);
+    Fractions are built for the pivot rows only, the rest are zero.
+    """
+    ints = [integer_multiple(r) for r in rows]
+    pivots = _eliminate(ints)
+    red = [[Fraction(x, row[pc]) if x else _ZERO for x in row]
+           for row, pc in zip(ints, pivots)]
+    red += [[_ZERO] * len(row) for row in ints[len(pivots):]]
+    return red, pivots
 
 
 def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a list of equal-length vectors (empty list has rank 0)."""
-    vs = [list(v) for v in vectors]
-    if not vs:
-        return 0
-    _, pivots = _rref(vs)
-    return len(pivots)
+    return len(_eliminate([integer_multiple(v) for v in vectors]))
 
 
 @dataclass(frozen=True)
@@ -269,25 +304,30 @@ def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = (
     be nonzero at the returned point. A functional identically zero on the
     whole subspace can never be avoided: that raises UnavoidableError.
     """
+    # One common multiplier for the point and the basis, one per functional:
+    # each value below is a nonzero integer multiple of the rational one.
+    mult = lcm(*(x.denominator for v in (space.point, *space.basis) for x in v))
+    point, *basis = (
+        [x.numerator * (mult // x.denominator) for x in v]
+        for v in (space.point, *space.basis)
+    )
     reduced = []
     for f in avoid:
         if len(f) != space.ambient_dim:
             raise ShapeError("generic_point: functional has wrong length")
-        c0 = dot(f, space.point)
-        cs = tuple(dot(f, b) for b in space.basis)
-        if c0 == 0 and is_zero_vec(cs):
+        f = integer_multiple(f)
+        c0 = sum(a * b for a, b in zip(f, point))
+        cs = tuple(sum(a * b for a, b in zip(f, v)) for v in basis)
+        if c0 == 0 and not any(cs):
             raise UnavoidableError(
                 "functional vanishes identically on the search space"
             )
         reduced.append((c0, cs))
     for t in integer_tuples(space.dim):
-        ok = True
         for c0, cs in reduced:
-            val = c0 + sum((Fraction(x) * c for x, c in zip(t, cs)), Fraction(0))
-            if val == 0:
-                ok = False
+            if c0 + sum(x * c for x, c in zip(t, cs)) == 0:
                 break
-        if ok:
+        else:
             return space.parameter_point(t)
     raise InternalError("generic_point: exhausted search shells")
 

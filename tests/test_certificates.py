@@ -84,6 +84,20 @@ def test_independent_certificate_detects_a_repeated_atom(monkeypatch):
     assert not cert.holds
 
 
+@pytest.mark.parametrize("n, name", [(5, "approx_direction_census"), (3, "profile")])
+def test_polygon_certificate_counts_once(monkeypatch, n, name):
+    """The polygon's counts come from the certificate's payload alone."""
+    from limprof import builders
+
+    calls = []
+    for module in (builders, certificates):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, real=real, **k: calls.append(1) or real(*a, **k))
+    assert build_polygon_certificate(n).holds
+    assert len(calls) == 1
+
+
 def test_spaceable_certificate():
     cert = build_spaceable_certificate(3, 8)
     assert cert.holds

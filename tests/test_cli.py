@@ -111,6 +111,15 @@ def test_profile_malformed_json_exit_2(workdir):
     assert p.returncode == 2
 
 
+def test_profile_bool_entries_exit_2(workdir):
+    """JSON true/false are not the numbers 1/0: refused like a float entry."""
+    path = workdir / "m.json"
+    path.write_text(json.dumps({"entries": [[True, False, 2], [0, 1, True]]}))
+    p = run_cli("profile", str(path))
+    assert p.returncode == 2
+    assert p.stdout == ""
+
+
 def test_refute_command(workdir):
     path = workdir / "m.json"
     path.write_text(json.dumps(

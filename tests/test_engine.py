@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from limprof.engine import (
     _feasible_blocks,
+    _integer_columns,
     _profile_by_census,
     _profile_by_patterns,
     collapse,
@@ -65,14 +66,14 @@ def test_set_partitions_order():
 
 
 def test_pattern_feasible_examples():
-    alpha = _feasible_blocks(M23, [(0, 1), (2,)])
+    alpha = _feasible_blocks(_integer_columns(M23), [(0, 1), (2,)])
     assert alpha is not None
     # within-block equality and cross-block distinctness
     row = M23.left_mul_vec(alpha)
     assert row[0] == row[1] != row[2]
-    assert _feasible_blocks(M23, [(0, 1, 2)]) is None
+    assert _feasible_blocks(_integer_columns(M23), [(0, 1, 2)]) is None
     single = RatMatrix.from_rows([[1, 2]])
-    alpha = _feasible_blocks(single, [(0,), (1,)])
+    alpha = _feasible_blocks(_integer_columns(single), [(0,), (1,)])
     assert alpha is not None
 
 
@@ -275,3 +276,21 @@ def test_sample_profile_is_lower_bound():
         sampled = sample_profile(m, max_norm=3)
         assert set(sampled.achieved) <= set(exact.achieved)
         assert m.cols in sampled.achieved  # generic direction always sampled
+
+
+def test_pattern_witnesses_match_fraction_oracle(monkeypatch):
+    """Integer elimination must reproduce every witness of Fraction elimination."""
+    from test_kernel import rref_oracle
+
+    from limprof import kernel
+
+    rng = random.Random(15)
+    entries = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 5)]
+    matrices = []
+    for _ in range(25):
+        rows, n_cols = rng.randint(2, 4), rng.randint(2, 6)
+        cols = sorted({tuple(rng.choice(entries) for _ in range(rows)) for _ in range(n_cols)})
+        matrices.append(RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)]))
+    fast = [_profile_by_patterns(m) for m in matrices]
+    monkeypatch.setattr(kernel, "_rref", rref_oracle)
+    assert [_profile_by_patterns(m) for m in matrices] == fast

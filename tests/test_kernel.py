@@ -1,18 +1,22 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from limprof.errors import ShapeError, UnavoidableError
+from limprof import kernel
+from limprof.errors import InternalError, ShapeError, UnavoidableError
 from limprof.kernel import (
     AffineSubspace,
     RatMatrix,
+    _rref,
+    dot,
     generic_point,
     integer_tuples,
     normalize_primitive,
     nullspace,
     rat,
+    rank_of_vectors,
     rat_str,
     solve_affine,
     vec,
@@ -29,6 +33,9 @@ def test_rat_coercions():
     assert rat(Fraction(1, 3)) == Fraction(1, 3)
     with pytest.raises(TypeError):
         rat(0.5)
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            rat(flag)
 
 
 def test_rat_str_roundtrip():
@@ -168,3 +175,135 @@ def test_normalize_primitive_properties(v):
     assert gcd(*(abs(n) for n in nums)) if len(nums) == 2 else True
     first = next(x for x in w if x != 0)
     assert first > 0
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: elimination and point search in Fraction arithmetic
+
+
+def rref_oracle(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form by Gauss-Jordan on Fractions, in place.
+
+    The same first-usable-pivot rule as the kernel: scan columns left to
+    right, take the first row (top to bottom) with a nonzero entry.
+    """
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    piv_cols: list[int] = []
+    pr = 0
+    for c in range(n):
+        sel = None
+        for r in range(pr, m):
+            if rows[r][c] != 0:
+                sel = r
+                break
+        if sel is None:
+            continue
+        rows[pr], rows[sel] = rows[sel], rows[pr]
+        inv = rows[pr][c]
+        rows[pr] = [x / inv for x in rows[pr]]
+        for r in range(m):
+            if r != pr and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
+        piv_cols.append(c)
+        pr += 1
+        if pr == m:
+            break
+    return rows, piv_cols
+
+
+def generic_point_oracle(space: AffineSubspace, avoid) -> tuple[Fraction, ...]:
+    """First tuple of ``integer_tuples`` whose point avoids every functional,
+    with every value computed in Fractions."""
+    reduced = []
+    for f in avoid:
+        c0 = dot(f, space.point)
+        cs = tuple(dot(f, b) for b in space.basis)
+        if c0 == 0 and all(c == 0 for c in cs):
+            raise UnavoidableError("functional vanishes identically")
+        reduced.append((c0, cs))
+    for t in integer_tuples(space.dim):
+        if all(c0 + sum((Fraction(x) * c for x, c in zip(t, cs)), Fraction(0)) != 0
+               for c0, cs in reduced):
+            return space.parameter_point(t)
+    raise InternalError("exhausted search shells")
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=5):
+    """Rational matrices with non-integer entries, zero entries and zero
+    rows; as many or more rows than columns as often as fewer."""
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(Fraction(0)), rationals)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        m[i] = [Fraction(0)] * cols
+    return m
+
+
+EDGE_MATRICES = [
+    [[Fraction(0)] * 3] * 2,  # the all-zero matrix
+    [[Fraction(0), Fraction(1, 2)], [Fraction(0)] * 2, [Fraction(3, 4), Fraction(-5, 6)]],
+    [[Fraction(1, 3)], [Fraction(-2, 7)], [Fraction(0)], [Fraction(5)]],  # tall
+    [[Fraction(2, 3), Fraction(4, 9), Fraction(-1, 6)],
+     [Fraction(1, 3), Fraction(2, 9), Fraction(-1, 12)]],  # proportional rows
+]
+
+
+def _with_oracle(fn, *args):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernel, "_rref", rref_oracle)
+        return fn(*args)
+
+
+def _edge_examples(test):
+    for m in EDGE_MATRICES:
+        test = example(m)(test)
+    return test
+
+
+@_edge_examples
+@given(rational_matrices())
+@settings(max_examples=150, deadline=None)
+def test_rref_matches_fraction_oracle(rows):
+    expected = rref_oracle([list(r) for r in rows])
+    assert _rref([list(r) for r in rows]) == expected
+    assert RatMatrix.from_rows(rows).rank() == len(expected[1])
+    assert rank_of_vectors(rows) == len(expected[1])
+
+
+@_edge_examples
+@given(rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_fraction_oracle(rows):
+    a = RatMatrix.from_rows(rows)
+    assert nullspace(a) == _with_oracle(nullspace, a)
+    assert nullspace(a.transpose()) == _with_oracle(nullspace, a.transpose())
+
+
+@given(rational_matrices(), st.lists(rationals, min_size=5, max_size=5), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_solve_affine_matches_fraction_oracle(rows, x, consistent):
+    a = RatMatrix.from_rows(rows)
+    b = a.mul_vec(x[: a.cols]) if consistent else tuple(x[: a.rows])
+    assert solve_affine(a, b) == _with_oracle(solve_affine, a, b)
+
+
+@given(rational_matrices(max_cols=4), st.data())
+@settings(max_examples=100, deadline=None)
+def test_generic_point_matches_fraction_oracle(rows, data):
+    a = RatMatrix.from_rows(rows)
+    b = a.mul_vec(data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols)))
+    space = solve_affine(a, b)
+    avoid = data.draw(st.lists(st.lists(rationals, min_size=a.cols, max_size=a.cols),
+                               max_size=4))
+    try:
+        expected = generic_point_oracle(space, avoid)
+    except UnavoidableError:
+        with pytest.raises(UnavoidableError):
+            generic_point(space, avoid)
+        return
+    assert generic_point(space, avoid) == expected
