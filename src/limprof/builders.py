@@ -12,10 +12,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from .errors import InternalError, ShapeError, TooLargeError
-from .kernel import RatMatrix, Vec, integer_tuples, rank_of_vectors, vec
+from .kernel import (
+    RatMatrix,
+    Vec,
+    integer_multiple,
+    integer_tuples,
+    nullspace,
+    rank_of_vectors,
+    vec,
+)
 from .engine import profile, set_partitions
 from .geometry import (
     POLYGON_CAP,
@@ -26,7 +35,7 @@ from .geometry import (
 from .rationals import first_unit_rationals
 from .sequences import StepSequence, combine, step_sequence
 
-GENERIC_CAP = 9
+GENERIC_CAP = 7
 ODD_CAP = 6
 FAMILY_CAP = 100_000
 
@@ -53,58 +62,108 @@ class GenericVectorFamily:
         )
 
 
-def _partition_blocks_upto(count: int, max_blocks: int):
-    """Set partitions of range(count) with at most max_blocks blocks."""
-    for assignment in set_partitions(count):
-        if max(assignment) + 1 > max_blocks:
+def _hyperplane_values(
+    prefix: list[tuple[int, ...]], d: int
+) -> list[tuple[list[int], set[int]]]:
+    """One (normal, values) pair per partition Q of ``prefix`` into
+    len(prefix) - d blocks: the integer normal of the hyperplane spanned by
+    Q's d within-block differences, and the values it takes on the prefix."""
+    k = len(prefix)
+    out = []
+    for assignment in set_partitions(k):
+        if max(assignment) + 1 != k - d:
             continue
-        blocks: dict[int, list[int]] = {}
-        for idx, b in enumerate(assignment):
-            blocks.setdefault(b, []).append(idx)
-        yield list(blocks.values())
-
-
-def _candidate_ok(vectors: list[Vec], cand: Vec, n: int, d: int) -> bool:
-    """Acceptance test for the next vector: in every partition of the
-    extended prefix into at most n-1 blocks, the within-block difference
-    multiset must be as independent as the ambient dimension allows
-    (rank == min(size, d+1)). Duplicate vectors always fail some partition,
-    so distinctness is also enforced here; it is still checked explicitly
-    for the degenerate n == 1 case."""
-    if cand in vectors:
-        return False
-    k = len(vectors)
-    ext = vectors + [cand]
-    for blocks in _partition_blocks_upto(k + 1, n - 1):
-        cand_block = next(b for b in blocks if k in b)
-        if len(cand_block) == 1:
-            continue  # restriction to the old prefix, checked at an earlier step
+        leads: dict[int, tuple[int, ...]] = {}
         diffs = []
-        for block in blocks:
-            lead = ext[block[0]]
-            for idx in block[1:]:
-                diffs.append(tuple(a - b for a, b in zip(ext[idx], lead)))
-        if rank_of_vectors(diffs) != min(len(diffs), d + 1):
-            return False
-    return True
+        for p, b in zip(prefix, assignment):
+            if b in leads:
+                diffs.append([x - y for x, y in zip(p, leads[b])])
+            else:
+                leads[b] = p
+        basis = nullspace(RatMatrix.from_rows(diffs))
+        if len(basis) != 1:
+            raise InternalError("generic_vectors: prefix lost general position")
+        normal = integer_multiple(basis[0])
+        out.append((normal, {sum(map(mul, normal, p)) for p in prefix}))
+    return out
+
+
+def _acceptance_test(
+    prefix: list[tuple[int, ...]], n: int, d: int
+) -> Callable[[tuple[int, ...]], bool]:
+    """Predicate on integer candidates for the next vector after ``prefix``
+    (see ``generic_vectors`` for why it is exact); built once per step."""
+    k = len(prefix)
+    if n == 1 or d == 0:
+        return lambda t: t not in prefix
+    if k <= d:
+        lead = prefix[0]
+        diffs = [[x - y for x, y in zip(p, lead)] for p in prefix[1:]]
+        return lambda t: rank_of_vectors(
+            diffs + [[x - y for x, y in zip(t, lead)]]) == k
+    forbidden = _hyperplane_values(prefix, d)
+
+    def accepts(t: tuple[int, ...]) -> bool:
+        for normal, values in forbidden:
+            if sum(map(mul, normal, t)) in values:
+                return False
+        return True
+
+    return accepts
 
 
 def generic_vectors(n: int, d: int) -> GenericVectorFamily:
     """Greedy deterministic construction of the n+d vectors: candidates come
-    from the integer grid in max-norm shells, the first acceptable one wins."""
+    from the integer grid in max-norm shells, the first acceptable one wins.
+
+    Acceptance. For a partition P of the points, C(P) says that the
+    within-block differences (each point minus its block's first point)
+    have rank min(#differences, d+1). The family must satisfy C(P) for
+    every partition P into at most n-1 blocks; then every nonzero row
+    takes at least n distinct values. With m points, P has m - #blocks
+    differences.
+
+    - The differences of a refinement of P span a subspace of P's span, and
+      if P's are independent so are the refinement's: a relation among them
+      is sum_p c_p p = 0 with the c_p summing to 0 on every block of P,
+      hence a relation among P's differences, so every c_p is 0. A
+      coarsening's differences span a superspace of P's.
+    - So C holds for every partition into at most n-1 blocks exactly when it
+      holds for every partition into b* = max(1, m-d-1) blocks (b* <= n-1
+      as m <= n+d): partitions with more blocks refine one of these and need
+      independence; those with fewer coarsen one and need spanning.
+    - By induction every prefix of k accepted points satisfies C for all
+      its partitions into at most n-1 blocks. A partition of the extended
+      prefix in which the candidate is a singleton restricts to one of
+      these, so only partitions where it joins a block are new.
+
+    The step test that follows, with k = len(prefix):
+
+    - n == 1 admits no partition, and the test is distinctness. For d == 0,
+      b* = m-1: one pair shares a block, and C says the pair differs; so
+      the test is distinctness again.
+    - k <= d: b* = 1, so prefix + candidate must be affinely independent:
+      one rank of k differences.
+    - k >= d+1: b* = k-d. Dropping the candidate from such a partition
+      leaves a partition Q of the prefix into k-d blocks, whose d
+      differences are independent by induction and span a hyperplane H_Q
+      with normal nu_Q. Adding the candidate c to Q's block with first point
+      v keeps C iff c - v is not in H_Q, i.e. nu_Q.c != nu_Q.v, and every
+      point of a block has the same nu_Q value. So c is rejected iff
+      nu_Q.c is a value nu_Q takes on the prefix, for some Q. The S(k, k-d)
+      normals are computed once per step; each candidate then costs integer
+      dot products.
+    """
     if n < 1 or d < 0:
         raise ShapeError("need n >= 1 and d >= 0")
     if n + d > GENERIC_CAP:
         raise TooLargeError(f"n+d = {n + d} exceeds cap {GENERIC_CAP}")
     dim = d + 1
-    vectors: list[Vec] = [tuple(Fraction(0) for _ in range(dim))]
-    while len(vectors) < n + d:
-        for t in integer_tuples(dim):
-            cand = vec(t)
-            if _candidate_ok(vectors, cand, n, d):
-                vectors.append(cand)
-                break
-    return GenericVectorFamily(n, d, tuple(vectors))
+    points: list[tuple[int, ...]] = [(0,) * dim]
+    while len(points) < n + d:
+        accepts = _acceptance_test(points, n, d)
+        points.append(next(t for t in integer_tuples(dim) if accepts(t)))
+    return GenericVectorFamily(n, d, tuple(vec(p) for p in points))
 
 
 def interval_space(n: int, d: int) -> RatMatrix:

@@ -1,8 +1,11 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from limprof.builders import (
+    _acceptance_test,
     generic_vectors,
     independent_family,
     interval_space,
@@ -12,9 +15,15 @@ from limprof.builders import (
     spaceable_rows,
     value_ladder,
 )
-from limprof.engine import _profile_by_patterns, multiplicity, profile, refute_interval
+from limprof.engine import (
+    _profile_by_patterns,
+    multiplicity,
+    profile,
+    refute_interval,
+    set_partitions,
+)
 from limprof.errors import TooLargeError
-from limprof.kernel import RatMatrix, vec
+from limprof.kernel import RatMatrix, integer_tuples, rank_of_vectors, vec
 from limprof.sequences import combine
 
 
@@ -46,6 +55,61 @@ def test_generic_vectors_profile_minimum():
 def test_generic_vectors_cap():
     with pytest.raises(TooLargeError):
         generic_vectors(8, 2)
+
+
+def candidate_ok_oracle(vectors, cand, n, d):
+    """Slow reference for the generic-vector acceptance test: every set
+    partition of prefix + cand into at most n-1 blocks in which cand is not
+    a singleton must have within-block differences of rank
+    min(#differences, d+1), in Fraction arithmetic."""
+    if cand in vectors:
+        return False
+    k = len(vectors)
+    ext = vectors + [cand]
+    for assignment in set_partitions(k + 1):
+        if max(assignment) + 1 > n - 1 or assignment[k] not in assignment[:k]:
+            continue
+        leads = {}
+        diffs = []
+        for v, b in zip(ext, assignment):
+            if b in leads:
+                diffs.append(tuple(x - y for x, y in zip(v, leads[b])))
+            else:
+                leads[b] = v
+        if rank_of_vectors(diffs) != min(len(diffs), d + 1):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n,d", [(n, s - n) for s in range(1, 7)
+                                 for n in range(1, s + 1)])
+def test_generic_vectors_acceptance_matches_partition_oracle(n, d):
+    """The per-step hyperplane test and the partition oracle make the same
+    decision on every candidate the greedy search visits."""
+    prefix = [(0,) * (d + 1)]
+    while len(prefix) < n + d:
+        accepts = _acceptance_test(prefix, n, d)
+        for t in integer_tuples(d + 1):
+            decision = accepts(t)
+            assert decision == candidate_ok_oracle(
+                [vec(p) for p in prefix], vec(t), n, d), (prefix, t)
+            if decision:
+                prefix.append(t)
+                break
+    assert generic_vectors(n, d).vectors == tuple(vec(p) for p in prefix)
+
+
+GENERIC_VECTORS = json.loads(
+    (Path(__file__).parent / "data" / "generic_vectors.json").read_text())
+
+
+@pytest.mark.parametrize("case", GENERIC_VECTORS,
+                         ids=lambda c: f"{c['n']}-{c['d']}")
+def test_generic_vectors_match_stored(case):
+    """Vectors written by the partition-enumeration builder, for every
+    n+d <= 7 except (4, 3), which it did not finish."""
+    fam = generic_vectors(case["n"], case["d"])
+    assert fam.vectors == tuple(vec(v) for v in case["vectors"])
 
 
 def test_interval_space_examples():

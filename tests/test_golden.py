@@ -38,6 +38,7 @@ def _escape():
 
 BUILDS = {
     "interval-2-1": lambda: build_interval_certificate(2, 1),
+    "interval-4-2": lambda: build_interval_certificate(4, 2),
     "odd-2": lambda: build_odd_certificate(2),
     "polygon-3-exact": lambda: build_polygon_certificate(3),
     "polygon-5-approximate": lambda: build_polygon_certificate(5),
