@@ -49,7 +49,6 @@ from .engine import (
     refute_interval,
     sample_profile,
     separation_radius,
-    set_partitions,
 )
 from .errors import (
     BadRelationError,
@@ -128,7 +127,7 @@ __all__ = [
     "MultiplicityProfile", "NestingVerdict", "RefutationWitness", "collapse",
     "matrix_from_json", "matrix_to_json", "merge_columns", "multiplicity",
     "nesting_check", "profile", "refute_interval", "sample_profile",
-    "separation_radius", "set_partitions",
+    "separation_radius",
     # geometry
     "Direction", "EscapeWitness", "PointConfig", "approx_direction_census",
     "approx_regular_polygon", "collinear", "direction_classes", "escape",

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import InternalError, ShapeError, TooLargeError
 from .kernel import (
@@ -25,7 +25,7 @@ from .kernel import (
     rank_of_vectors,
     vec,
 )
-from .engine import profile, set_partitions
+from .engine import profile
 from .geometry import (
     POLYGON_CAP,
     POLYGON_TOLERANCE,
@@ -36,7 +36,7 @@ from .rationals import first_unit_rationals
 from .sequences import StepSequence, combine, step_sequence
 
 GENERIC_CAP = 7
-ODD_CAP = 6
+ODD_CAP = 5
 FAMILY_CAP = 100_000
 
 
@@ -62,6 +62,18 @@ class GenericVectorFamily:
         )
 
 
+def _partitions_into(k: int, blocks: int, prefix=(0,)) -> Iterator[tuple[int, ...]]:
+    """Partitions of k points into exactly ``blocks`` blocks, S(k, blocks)
+    of them, as restricted growth strings in lexicographic order."""
+    if len(prefix) == k:
+        yield prefix
+        return
+    used = max(prefix) + 1
+    for label in range(min(used + 1, blocks)):
+        if blocks - max(used, label + 1) < k - len(prefix):
+            yield from _partitions_into(k, blocks, prefix + (label,))
+
+
 def _hyperplane_values(
     prefix: list[tuple[int, ...]], d: int
 ) -> list[tuple[list[int], set[int]]]:
@@ -70,9 +82,7 @@ def _hyperplane_values(
     Q's d within-block differences, and the values it takes on the prefix."""
     k = len(prefix)
     out = []
-    for assignment in set_partitions(k):
-        if max(assignment) + 1 != k - d:
-            continue
+    for assignment in _partitions_into(k, k - d):
         leads: dict[int, tuple[int, ...]] = {}
         diffs = []
         for p, b in zip(prefix, assignment):

@@ -4,23 +4,26 @@ A value matrix M has one row per basis sequence and one column per atom of a
 common partition; the combination with coefficient row a takes value
 (a^T M)_j on atom j. Its multiplicity mu(a) is the number of distinct
 entries of a^T M, i.e. the number of accumulation points of the combined
-sequence. The multiplicity profile is {mu(a) : a != 0}, computed exactly by
-enumerating coincidence patterns (set partitions of the columns) and
-deciding each one with exact linear algebra.
+sequence. The multiplicity profile is {mu(a) : a != 0}.
 
-For matrices with at most two rows an exact direction census is used
-internally: every nonzero coefficient row either separates all columns or is
-proportional to the normal of some column difference, so scanning column
-pairs enumerates the whole profile. The result is identical to pattern
-enumeration (property-tested) and much faster.
+``profile`` computes it exactly by one depth-first walk that builds a
+restricted growth string (a block label per column, blocks numbered by first
+appearance) column by column, in lexicographic order, carrying the columns
+projected onto the current flat of the arrangement a.(c_i - c_j) = 0
+(Zaslavsky 1975; Orlik-Terao 1992) as integer coordinates. A column whose
+projection equals a block leader's is forced into that block; joining another
+block cuts the flat by one hyperplane (one integer elimination step); a
+prefix is dropped once two leaders' projections coincide. The complete
+strings are exactly the coincidence patterns that some a != 0 realizes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterator, Mapping, Sequence
+from itertools import chain
+from math import gcd, lcm
+from typing import Container, Iterator, Mapping, Sequence
 
 from .errors import (
     DuplicateColumnsError,
@@ -28,6 +31,7 @@ from .errors import (
     ShapeError,
     TooFewRowsError,
     TooLargeError,
+    UnavoidableError,
     ZeroDirectionError,
 )
 from .kernel import (
@@ -36,7 +40,6 @@ from .kernel import (
     Vec,
     dot,
     generic_point,
-    integer_multiple,
     integer_tuples,
     is_zero_vec,
     normalize_primitive,
@@ -72,49 +75,18 @@ def matrix_from_json(data: Mapping) -> RatMatrix:
     return mat
 
 
-def has_canonical_columns(m: RatMatrix) -> bool:
-    """True when the columns are pairwise distinct."""
-    cols = m.columns()
-    return len(set(cols)) == len(cols)
-
-
 def merge_columns(m: RatMatrix) -> tuple[RatMatrix, tuple[tuple[int, ...], ...]]:
     """Merge duplicate columns; returns the merged matrix and the groups of
     original column indices, in first-occurrence order."""
     groups: dict[Vec, list[int]] = {}
-    order: list[Vec] = []
     for j, c in enumerate(m.columns()):
-        if c not in groups:
-            groups[c] = []
-            order.append(c)
-        groups[c].append(j)
-    merged = RatMatrix(tuple(tuple(c[i] for c in order) for i in range(m.rows)))
-    return merged, tuple(tuple(groups[c]) for c in order)
+        groups.setdefault(c, []).append(j)
+    merged = RatMatrix(tuple(tuple(c[i] for c in groups) for i in range(m.rows)))
+    return merged, tuple(tuple(g) for g in groups.values())
 
 
 # ---------------------------------------------------------------------------
 # coincidence patterns
-
-
-def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
-    """Restricted growth strings of length n in lexicographic order.
-
-    The first string is the single-block partition (all zeros), the last is
-    the all-singleton partition (0, 1, ..., n-1).
-    """
-    if n <= 0:
-        return
-
-    def rec(i: int, mx: int, cur: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(cur)
-            return
-        for v in range(mx + 2):
-            cur.append(v)
-            yield from rec(i + 1, max(mx, v), cur)
-            cur.pop()
-
-    yield from rec(1, 0, [0])
 
 
 def multiplicity(m: RatMatrix, alpha: Sequence) -> int:
@@ -145,38 +117,90 @@ def _feasible_blocks(
     (see ``_integer_columns``) is exactly ``blocks``, or None when no such
     alpha exists.
 
-    Within-block equalities define a linear subspace; cross-block separations
-    are checked as functionals not identically zero on it, then realized
-    simultaneously by a deterministic generic point.
+    Within-block equalities define a linear subspace; a deterministic generic
+    point of it separates the blocks, unless some cross-block difference
+    vanishes on all of it (generic_point raises UnavoidableError).
     """
     rows = len(cols[0])
-    constraints = []
-    for block in blocks:
-        lead = cols[block[0]]
-        for j in block[1:]:
-            constraints.append(tuple(Fraction(a - b) for a, b in zip(cols[j], lead)))
-    if constraints:
-        basis = nullspace(RatMatrix(tuple(constraints)))
-    else:
-        basis = tuple(
-            tuple(Fraction(int(i == k)) for i in range(rows)) for k in range(rows)
-        )
+    def diff(i: int, j: int) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a - b) for a, b in zip(cols[i], cols[j]))
+    constraints = [diff(j, block[0]) for block in blocks for j in block[1:]]
+    # with no equalities, a zero row gives the standard basis
+    basis = nullspace(RatMatrix(tuple(constraints or [(Fraction(0),) * rows])))
     if not basis:
         return None  # only alpha = 0 satisfies the equalities
-    int_basis = [integer_multiple(bv) for bv in basis]
     leaders = [block[0] for block in blocks]
-    cross = []
-    for s in range(len(leaders)):
-        for t in range(s + 1, len(leaders)):
-            f = tuple(a - b for a, b in zip(cols[leaders[s]], cols[leaders[t]]))
-            if not any(sum(a * b for a, b in zip(f, bv)) for bv in int_basis):
-                return None  # the pattern forces these two blocks to coincide
-            cross.append(tuple(Fraction(a) for a in f))
+    cross = [diff(s, t) for i, s in enumerate(leaders) for t in leaders[i + 1:]]
     if not cross:
         return normalize_primitive(basis[0])
-    origin = tuple(Fraction(0) for _ in range(rows))
-    alpha = generic_point(AffineSubspace(origin, basis), cross)
+    try:
+        alpha = generic_point(AffineSubspace((Fraction(0),) * rows, basis), cross)
+    except UnavoidableError:
+        return None  # the pattern forces two blocks to coincide
     return normalize_primitive(alpha)
+
+
+def _restrict(coords: list[list[int]], f: Sequence[int]) -> list[list[int]]:
+    """Coordinates on the hyperplane f.t = 0 (coords[q][j]: coordinate q of
+    column j): eliminate t_p for the smallest nonzero |f_p|, scale by f_p and
+    divide each coordinate by its gcd, which rescales one direction."""
+    p = min((q for q, c in enumerate(f) if c), key=lambda q: abs(f[q]))
+    fp, pivot_row = f[p], coords[p]
+    out = []
+    for fq, row in zip(f[:p] + f[p + 1:], coords[:p] + coords[p + 1:]):
+        if fq:
+            row = [fp * a - fq * b for a, b in zip(row, pivot_row)]
+            g = gcd(*row)
+            if g > 1:
+                row = [a // g for a in row]
+        out.append(row)
+    return out
+
+
+def _patterns(cols: Sequence[tuple[int, ...]],
+              settled: Container[int] = ()) -> Iterator[tuple[int, ...]]:
+    """The module doc's walk over the integer columns ``cols``. It skips a
+    prefix when every block count it can reach is in ``settled``, which the
+    caller may grow between strings."""
+    n = len(cols)
+    labels = [0]
+
+    def walk(j, leaders, coords, points):
+        if j == n:
+            yield tuple(labels)
+            return
+        x = points[j]
+        blocks, left = len(leaders), n - j - 1
+        block_of = {points[i]: b for b, i in enumerate(leaders)}
+        if x in block_of:
+            labels.append(block_of[x])
+            yield from walk(j + 1, leaders, coords, points)
+            labels.pop()
+            return
+        # a cut of a flat of dimension 1 leaves only a = 0
+        if len(coords) > 1 and any(
+                b not in settled for b in range(blocks, blocks + left + 1)):
+            for b, lead in enumerate(leaders):
+                cut = _restrict(coords, [u - v for u, v in zip(x, points[lead])])
+                cut_points = list(zip(*cut))
+                if len({cut_points[i] for i in leaders}) == blocks:
+                    labels.append(b)
+                    yield from walk(j + 1, leaders, cut, cut_points)
+                    labels.pop()
+        if any(b not in settled for b in range(blocks + 1, blocks + left + 2)):
+            labels.append(blocks)
+            yield from walk(j + 1, leaders + [j], coords, points)
+            labels.pop()
+
+    # shifting every column by c_0 shifts every value by one constant
+    coords = [[c[q] - cols[0][q] for c in cols] for q in range(len(cols[0]))]
+    yield from walk(1, [0], coords, list(zip(*coords)))
+
+
+def _first_pair(rgs: Sequence[int]) -> tuple[int, ...]:
+    """First pair (i, j), i < j, of columns sharing a block of ``rgs``."""
+    return min(((rgs.index(b), j) for j, b in enumerate(rgs) if rgs.index(b) < j),
+               default=(len(rgs),))
 
 
 # ---------------------------------------------------------------------------
@@ -212,95 +236,55 @@ class MultiplicityProfile:
 
 
 def _require_canonical(m: RatMatrix) -> None:
-    if not has_canonical_columns(m):
+    if len(set(m.columns())) != m.cols:
         raise DuplicateColumnsError(
             "duplicate columns; merge_columns() first (values on merged atoms agree)"
         )
 
 
-def _profile_by_patterns(m: RatMatrix) -> MultiplicityProfile:
-    witnesses: dict[int, Vec] = {}
-    cols = _integer_columns(m)
-    for assignment in set_partitions(m.cols):
-        b = max(assignment) + 1
-        if b in witnesses:
-            continue
-        byblock: dict[int, list[int]] = {}
-        for col, blk in enumerate(assignment):
-            byblock.setdefault(blk, []).append(col)
-        blocks = sorted((tuple(v) for v in byblock.values()), key=lambda x: x[0])
-        w = _feasible_blocks(cols, blocks)
-        if w is not None:
-            witnesses[b] = w
-    return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
-
-
-def _profile_by_census(m: RatMatrix) -> MultiplicityProfile:
-    """Exact profile for m.rows <= 2 via the direction census (see module doc)."""
-    witnesses: dict[int, Vec] = {}
-    n = m.cols
-    if m.rows == 1:
-        witnesses[n] = (Fraction(1),)
-        return MultiplicityProfile((n,), witnesses)
-    cols = m.columns()
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = (cols[i][0] - cols[j][0], cols[i][1] - cols[j][1])
-            alpha = normalize_primitive((-d[1], d[0]))
-            mu = multiplicity(m, alpha)
-            if mu not in witnesses:
-                witnesses[mu] = alpha
-    if n not in witnesses:
-        # generic direction separating every column pair
-        singletons = [(j,) for j in range(n)]
-        w = _feasible_blocks(_integer_columns(m), singletons)
-        if w is None:
-            raise InternalError("distinct columns admit no separating direction")
-        witnesses[n] = w
-    return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
-
-
 def profile(m: RatMatrix) -> MultiplicityProfile:
     """Exact multiplicity profile {mu(alpha) : alpha != 0} with witnesses.
 
-    Columns must be pairwise distinct (merge duplicates first). N is capped
-    at PROFILE_CAP because pattern enumeration is Bell(N). Matrices with at
-    most two rows take the direction census, the others pattern enumeration.
+    Columns must be pairwise distinct (merge duplicates first), at most
+    PROFILE_CAP of them. A count's witness is ``_feasible_blocks`` on one
+    walked pattern with that many blocks: with three or more rows the
+    lexicographically first, so the walk skips prefixes whose reachable
+    counts all have one; with at most two rows the one whose first shared
+    column pair (i, j) comes first, which keeps the witnesses of the pair
+    census earlier versions ran there (golden odd-2 pins them). Those walks
+    are small and unpruned: a proper two-row flat is a line.
     """
     _require_canonical(m)
     if m.cols > PROFILE_CAP:
         raise TooLargeError(
             f"{m.cols} columns exceeds the profile cap {PROFILE_CAP}; "
-            "use sample_profile for an under-approximation"
+            "`limprof profile --sample` (sample_profile) gives an under-approximation"
         )
-    return _profile_by_census(m) if m.rows <= 2 else _profile_by_patterns(m)
+    cols = _integer_columns(m)
+    by_pair = m.rows <= 2
+    chosen: dict[int, tuple[int, ...]] = {}
+    for rgs in _patterns(cols, () if by_pair else chosen):
+        b = max(rgs) + 1
+        if b not in chosen or by_pair and _first_pair(rgs) < _first_pair(chosen[b]):
+            chosen[b] = rgs
+    witnesses = {b: _feasible_blocks(cols, [[j for j, c in enumerate(rgs) if c == k]
+                                            for k in range(b)])
+                 for b, rgs in sorted(chosen.items())}
+    if None in witnesses.values():
+        raise InternalError("profile: a walked pattern has no witness")
+    return MultiplicityProfile(tuple(witnesses), witnesses)
 
 
-def sample_profile(
-    m: RatMatrix,
-    max_norm: int = 3,
-    extra: Sequence[Sequence] = (),
-) -> MultiplicityProfile:
+def sample_profile(m: RatMatrix, max_norm: int = 3,
+                   extra: Sequence[Sequence] = ()) -> MultiplicityProfile:
     """Under-approximation of the profile by scanning an integer grid of
     coefficient rows (max-norm shells up to ``max_norm``) plus any ``extra``
     rows. Sampling can only miss counts, never invent them."""
     _require_canonical(m)
     witnesses: dict[int, Vec] = {}
-    for t in integer_tuples(m.rows, max_shell=max_norm):
-        if max(abs(x) for x in t) > max_norm:
-            break
-        if all(x == 0 for x in t):
-            continue
-        a = vec(t)
-        mu = multiplicity(m, a)
-        if mu not in witnesses:
-            witnesses[mu] = normalize_primitive(a)
-    for a in extra:
+    for a in chain(integer_tuples(m.rows, max_shell=max_norm), extra):
         a = vec(a)
-        if is_zero_vec(a):
-            continue
-        mu = multiplicity(m, a)
-        if mu not in witnesses:
+        if not is_zero_vec(a) and (mu := multiplicity(m, a)) not in witnesses:
             witnesses[mu] = normalize_primitive(a)
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
 
@@ -374,13 +358,9 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
         constraints = [
             tuple(a - b for a, b in zip(cols[j], cols[0])) for j in range(1, k)
         ]
-        if constraints:
-            alpha = nullspace(RatMatrix(tuple(constraints)))[0]
-        else:
-            alpha = tuple(
-                Fraction(int(i == 0)) for i in range(m.rows)
-            )  # N == 1: any nonzero row works
-        alpha = normalize_primitive(alpha)
+        # N == 1: a zero row, whose first nullspace vector is e_0
+        zero = [(Fraction(0),) * m.rows]
+        alpha = normalize_primitive(nullspace(RatMatrix(tuple(constraints or zero)))[0])
     w = RefutationWitness(alpha, multiplicity(m, alpha), n, d)
     if not w.escapes:
         raise InternalError(f"refute_interval: witness count {w.multiplicity} "

@@ -13,7 +13,9 @@ Determinism contracts:
 * ``generic_point`` enumerates integer parameter tuples shell by shell in
   increasing max-norm; inside a shell, tuples are ordered lexicographically
   with the per-coordinate order 0, 1, -1, 2, -2, ...  The first tuple whose
-  point avoids every functional wins.
+  point avoids every functional wins. The search is depth first in that
+  order and tests a functional as soon as its last nonzero coefficient is
+  set, so it skips every tuple of a failing prefix at once.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, ShapeError, UnavoidableError
@@ -220,10 +223,6 @@ class AffineSubspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.point)
-
     def parameter_point(self, params: Sequence[int]) -> Vec:
         p = self.point
         for t, b in zip(params, self.basis):
@@ -311,23 +310,35 @@ def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = (
         [x.numerator * (mult // x.denominator) for x in v]
         for v in (space.point, *space.basis)
     )
-    reduced = []
+    dim = space.dim
+    due: list[list] = [[] for _ in range(dim + 1)]  # by last nonzero coefficient
     for f in avoid:
-        if len(f) != space.ambient_dim:
+        if len(f) != len(space.point):
             raise ShapeError("generic_point: functional has wrong length")
         f = integer_multiple(f)
         c0 = sum(a * b for a, b in zip(f, point))
-        cs = tuple(sum(a * b for a, b in zip(f, v)) for v in basis)
-        if c0 == 0 and not any(cs):
-            raise UnavoidableError(
-                "functional vanishes identically on the search space"
-            )
-        reduced.append((c0, cs))
-    for t in integer_tuples(space.dim):
-        for c0, cs in reduced:
-            if c0 + sum(x * c for x, c in zip(t, cs)) == 0:
-                break
-        else:
+        cs = [sum(a * b for a, b in zip(f, v)) for v in basis]
+        last = max((q + 1 for q, c in enumerate(cs) if c), default=0)
+        if c0 == 0 and not last:
+            raise UnavoidableError("functional vanishes identically on the search space")
+        due[last].append((c0, cs[:last]))  # due[0]: nonzero constants
+    t = [0] * dim
+
+    def extend(i: int, s: int, hit: bool) -> bool:
+        # first completion of t[:i] in shell s; hit: some |t[q]| == s, q < i
+        if i == dim:
+            return hit
+        for x in _scalars_up_to(s):
+            if i == dim - 1 and not hit and abs(x) != s:
+                continue
+            t[i] = x
+            if all(c0 + sum(map(mul, t, cs)) for c0, cs in due[i + 1]) \
+                    and extend(i + 1, s, hit or abs(x) == s):
+                return True
+        return False
+
+    for s in range(1001):  # the shells of integer_tuples
+        if extend(0, s, s == 0):
             return space.parameter_point(t)
     raise InternalError("generic_point: exhausted search shells")
 

@@ -6,6 +6,7 @@ import pytest
 
 from limprof.builders import (
     _acceptance_test,
+    _partitions_into,
     generic_vectors,
     independent_family,
     interval_space,
@@ -16,15 +17,14 @@ from limprof.builders import (
     value_ladder,
 )
 from limprof.engine import (
-    _profile_by_patterns,
     multiplicity,
     profile,
     refute_interval,
-    set_partitions,
 )
 from limprof.errors import TooLargeError
 from limprof.kernel import RatMatrix, integer_tuples, rank_of_vectors, vec
 from limprof.sequences import combine
+from profile_oracle import profile_by_patterns, set_partitions
 
 
 def test_generic_vectors_small():
@@ -55,6 +55,13 @@ def test_generic_vectors_profile_minimum():
 def test_generic_vectors_cap():
     with pytest.raises(TooLargeError):
         generic_vectors(8, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_partitions_into_matches_filtered_bell_enumeration(k):
+    for blocks in range(1, k + 1):
+        expected = [a for a in set_partitions(k) if max(a) + 1 == blocks]
+        assert list(_partitions_into(k, blocks)) == expected
 
 
 def candidate_ok_oracle(vectors, cand, n, d):
@@ -210,7 +217,7 @@ def test_nonconvergent_span():
     m2 = nonconvergent_span(2)
     assert multiplicity(m2, vec([1, 1])) == 3
     m3 = nonconvergent_span(3)
-    prof = _profile_by_patterns(m3)
+    prof = profile_by_patterns(m3)
     assert prof.min() >= 2
 
 

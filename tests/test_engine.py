@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from limprof.engine import (
     _feasible_blocks,
     _integer_columns,
-    _profile_by_census,
-    _profile_by_patterns,
     collapse,
     matrix_from_json,
     matrix_to_json,
@@ -20,7 +18,6 @@ from limprof.engine import (
     refute_interval,
     sample_profile,
     separation_radius,
-    set_partitions,
 )
 from limprof.errors import (
     DuplicateColumnsError,
@@ -35,6 +32,12 @@ from limprof.sequences import (
     SymbolicPartition,
     combine,
     step_sequence,
+)
+from profile_oracle import (
+    profile_by_census,
+    profile_by_patterns,
+    profile_oracle,
+    set_partitions,
 )
 
 M23 = RatMatrix.from_rows([[0, 1, 0], [0, 0, 1]])
@@ -83,7 +86,7 @@ def test_profile_examples():
 
 
 def test_profile_witnesses_are_exact():
-    prof = _profile_by_patterns(M23)
+    prof = profile_by_patterns(M23)
     for count, alpha in prof.witnesses.items():
         assert multiplicity(M23, alpha) == count
 
@@ -255,11 +258,12 @@ def test_census_matches_pattern_enumeration():
         m = RatMatrix.from_rows(
             [[c[0] for c in cols], [c[1] for c in cols]]
         )
-        by_census = _profile_by_census(m)
-        by_patterns = _profile_by_patterns(m)
+        by_census = profile_by_census(m)
+        by_patterns = profile_by_patterns(m)
         assert by_census.achieved == by_patterns.achieved
         for count, alpha in by_census.witnesses.items():
             assert multiplicity(m, alpha) == count
+        assert profile(m) == by_census
 
 
 def test_sample_profile_is_lower_bound():
@@ -272,7 +276,7 @@ def test_sample_profile_is_lower_bound():
             cols.add(tuple(rng.randint(-3, 3) for _ in range(rows)))
         cols = sorted(cols)
         m = RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)])
-        exact = _profile_by_patterns(m)
+        exact = profile_by_patterns(m)
         sampled = sample_profile(m, max_norm=3)
         assert set(sampled.achieved) <= set(exact.achieved)
         assert m.cols in sampled.achieved  # generic direction always sampled
@@ -291,6 +295,28 @@ def test_pattern_witnesses_match_fraction_oracle(monkeypatch):
         rows, n_cols = rng.randint(2, 4), rng.randint(2, 6)
         cols = sorted({tuple(rng.choice(entries) for _ in range(rows)) for _ in range(n_cols)})
         matrices.append(RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)]))
-    fast = [_profile_by_patterns(m) for m in matrices]
+    fast = [profile(m) for m in matrices]
     monkeypatch.setattr(kernel, "_rref", rref_oracle)
-    assert [_profile_by_patterns(m) for m in matrices] == fast
+    assert [profile(m) for m in matrices] == fast
+
+
+def _random_matrix(rng, rows, n_cols, values):
+    cols = set()
+    while len(cols) < n_cols:
+        cols.add(tuple(rng.choice(values) for _ in range(rows)))
+    cols = sorted(cols, key=lambda c: rng.random())
+    return RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)])
+
+
+@pytest.mark.parametrize("values", [(-1, 0, 1), tuple(range(-50, 51))],
+                         ids=["sign", "wide"])
+def test_profile_matches_oracle(values):
+    """The walk gives the oracles' achieved counts and witnesses: Bell
+    enumeration with the lexicographic rule for three or more rows, the pair
+    census for at most two."""
+    rng = random.Random(16)
+    for _ in range(150):
+        rows = rng.randint(1, 4)
+        n_cols = rng.randint(1, min(7, len(values) ** rows))
+        m = _random_matrix(rng, rows, n_cols, values)
+        assert profile(m).to_json() == profile_oracle(m).to_json(), m.entries

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -307,3 +308,32 @@ def test_generic_point_matches_fraction_oracle(rows, data):
             generic_point(space, avoid)
         return
     assert generic_point(space, avoid) == expected
+
+
+def test_generic_point_sparse_functionals_match_fraction_oracle():
+    """Sparse functionals, as pairwise differences of {0, 1} columns are,
+    vanish on whole prefixes of the search; the pruned search must still
+    return the oracle's first point, often from shell 2 or 3."""
+    rng = random.Random(17)
+    shells = set()
+    for _ in range(150):
+        ambient = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            basis = tuple(tuple(Fraction(int(i == k)) for i in range(ambient))
+                          for k in range(ambient))
+        else:
+            basis = tuple(tuple(Fraction(rng.choice((-1, 0, 0, 1, 2)))
+                                for _ in range(ambient)) for _ in range(rng.randint(0, ambient)))
+        point = tuple(Fraction(rng.choice((0, 0, 0, 1, -1))) for _ in range(ambient))
+        space = AffineSubspace(point, basis)
+        avoid = [tuple(Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(ambient))
+                 for _ in range(rng.randint(0, 12))]
+        try:
+            expected = generic_point_oracle(space, avoid)
+        except UnavoidableError:
+            with pytest.raises(UnavoidableError):
+                generic_point(space, avoid)
+            continue
+        assert generic_point(space, avoid) == expected, (space, avoid)
+        shells.add(max((abs(x) for x in expected), default=0))
+    assert {2, 3} <= shells
