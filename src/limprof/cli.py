@@ -218,6 +218,11 @@ def cmd_sample(args) -> int:
     if args.gen in ("fq", "combo", "rich") and not args.q:
         raise LimprofError(f"--q is required for --gen {args.gen}")
     seq = _build_generator(args)
+    # The estimate checks --len, --tail and --epsilon, so a bad value
+    # fails before any file is written.
+    estimate = estimate_clusters(
+        seq, args.len, tail_fraction=args.tail, epsilon=args.epsilon
+    )
     if args.csv:
         values = seq.evaluate(args.len)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
@@ -225,9 +230,6 @@ def cmd_sample(args) -> int:
             for i, v in enumerate(values):
                 cell = rat_str(v) if args.exact else f"{float(v):.17g}"
                 fh.write(f"{i},{cell}\n")
-    estimate = estimate_clusters(
-        seq, args.len, tail_fraction=args.tail, epsilon=args.epsilon
-    )
     payload = estimate.to_json()
     text = canonical_json(payload)
     if args.clusters:

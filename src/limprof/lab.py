@@ -4,27 +4,40 @@ Symbolic atoms become explicit infinite subsets of the naturals, step
 sequences become evaluable prefixes, and accumulation points become numeric
 clusters in a prefix tail. Generators are pure functions of the index, so a
 longer prefix always extends a shorter one verbatim.
+
+Every generator lays its values on the dyadic atoms: index m lies in atom
+j = nu_2(m+1) at rank i, where m + 1 = 2^j (2i + 1). The indices m < t of
+atom j are exactly its ranks 0 .. _ranks_below(t, j) - 1, so an index range
+[a, b) meets each atom in one run of consecutive ranks, and a generator can
+list the values of a range atom by atom instead of index by index.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Sequence
 
 from .builders import value_ladder
 from .errors import DegenerateError, EmptyInputError, RangeError, ShapeError
 from .kernel import rat
-from .rationals import unit_rationals
+from .rationals import unit_rational_pairs
 
 
-def _dyadic_valuation(t: int) -> int:
-    v = 0
-    while t % 2 == 0:
-        t //= 2
-        v += 1
-    return v
+def _atom(m: int) -> int:
+    """The dyadic atom nu_2(m+1) of index m."""
+    if m < 0:
+        raise RangeError(f"index {m} is negative")
+    t = m + 1
+    return (t & -t).bit_length() - 1
+
+
+def _ranks_below(t: int, j: int) -> int:
+    """How many indices m < t lie in atom j: the odd numbers up to t >> j."""
+    return ((t >> j) + 1) >> 1
 
 
 def cantor_unpair(z: int) -> tuple[int, int]:
@@ -46,15 +59,14 @@ class AtomRealization:
     scheme: str
 
     def label(self, m: int):
-        j = _dyadic_valuation(m + 1)
+        j = _atom(m)
         if self.scheme == "dyadic-valuation":
             return j
         return cantor_unpair(j)
 
     def rank(self, m: int) -> int:
         """Position of m within its atom: m = 2^j(2i+1) - 1 has rank i."""
-        j = _dyadic_valuation(m + 1)
-        return (((m + 1) >> j) - 1) >> 1
+        return (m + 1) >> (_atom(m) + 1)
 
     def members(self, label, count: int) -> list[int]:
         """First ``count`` indices of the labeled atom, for tests and demos."""
@@ -74,17 +86,41 @@ def realize_atoms(scheme: str) -> AtomRealization:
 
 @dataclass(frozen=True)
 class PrefixSequence:
-    """Evaluable sequence prefix; value_at is a pure function of the index."""
+    """Evaluable sequence prefix; value_at is a pure function of the index.
+
+    level_walk(a, b), when given, lists the values over the indices in
+    [a, b) with their multiplicities, as value_at would give them, without
+    visiting each index."""
 
     descriptor: str
     value_at: Callable[[int], Fraction]
+    level_walk: Callable[[int, int], Iterable[tuple[Fraction, int]]] | None = None
 
     def evaluate(self, n: int) -> list[Fraction]:
         return [self.value_at(m) for m in range(n)]
 
+    def levels(self, a: int, b: int) -> Iterable[tuple[Fraction, int]]:
+        """The exact values over the indices in [a, b), each paired with a
+        positive multiplicity; the multiplicities sum to b - a. A value may
+        appear in more than one pair. Without a level walk every index is
+        its own level."""
+        if not 0 <= a <= b:
+            raise RangeError(f"need 0 <= a <= b, got [{a}, {b})")
+        if self.level_walk is None:
+            return ((self.value_at(m), 1) for m in range(a, b))
+        return self.level_walk(a, b)
 
-# The single-index generators put level j on dyadic atom j.
-_DYADIC = AtomRealization("dyadic-valuation")
+
+def _on_dyadic_atoms(descriptor: str, level: Callable[[int], Fraction]) -> PrefixSequence:
+    """The sequence with value level(j) on all of atom j."""
+
+    def level_walk(a: int, b: int):
+        for j in range(b.bit_length()):
+            count = _ranks_below(b, j) - _ranks_below(a, j)
+            if count:
+                yield level(j), count
+
+    return PrefixSequence(descriptor, lambda m: level(_atom(m)), level_walk)
 
 
 def gen_fq(q) -> PrefixSequence:
@@ -93,15 +129,7 @@ def gen_fq(q) -> PrefixSequence:
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
-    cache: dict[int, Fraction] = {}
-
-    def value_at(m: int) -> Fraction:
-        j = _DYADIC.label(m)
-        if j not in cache:
-            cache[j] = q**j
-        return cache[j]
-
-    return PrefixSequence(f"fq(q={q})", value_at)
+    return _on_dyadic_atoms(f"fq(q={q})", combo_values([1], [q]))
 
 
 def combo_values(d: Sequence, q: Sequence) -> Callable[[int], Fraction]:
@@ -128,10 +156,9 @@ def combo_values(d: Sequence, q: Sequence) -> Callable[[int], Fraction]:
 def gen_combo(d: Sequence, q: Sequence) -> PrefixSequence:
     """Value h_j = sum_t d_t q_t^j on atom j. Distinct ratios in (0, 1) give
     infinitely many distinct h_j, so prefixes keep sprouting new clusters."""
-    h = combo_values(d, q)
-    return PrefixSequence(
+    return _on_dyadic_atoms(
         f"combo(d={[str(rat(x)) for x in d]},q={[str(rat(x)) for x in q]})",
-        lambda m: h(_DYADIC.label(m)),
+        combo_values(d, q),
     )
 
 
@@ -161,46 +188,59 @@ def h_sequence(d: Sequence, q: Sequence, j_count: int) -> HSequenceReport:
 def gen_rich(q) -> PrefixSequence:
     """Value q^j * r_i at the i-th index of atom j, where r is a fixed
     enumeration of the rationals in (0, 1): every scaled copy q^j * (0,1)
-    fills in densely as the prefix grows."""
+    fills in densely as the prefix grows. Values are built from the integer
+    pairs of q^j and r_i."""
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
-    rats: list[Fraction] = []
-    it = unit_rationals()
-    powers: dict[int, Fraction] = {}
+    p, s = q.numerator, q.denominator
+    nums: list[int] = []  # r_i = nums[i] / dens[i]
+    dens: list[int] = []
+    pairs = unit_rational_pairs()
+
+    def enumerate_to(count: int) -> None:
+        for a, b in islice(pairs, max(0, count - len(nums))):
+            nums.append(a)
+            dens.append(b)
 
     def value_at(m: int) -> Fraction:
-        j = _DYADIC.label(m)
-        if j not in powers:
-            powers[j] = q**j
-        i = _DYADIC.rank(m)
-        while len(rats) <= i:
-            rats.append(next(it))
-        return powers[j] * rats[i]
+        j = _atom(m)
+        i = (m + 1) >> (j + 1)
+        enumerate_to(i + 1)
+        return Fraction(p**j * nums[i], s**j * dens[i])
 
-    return PrefixSequence(f"rich(q={q})", value_at)
+    def level_walk(lo: int, hi: int):
+        for j in range(hi.bit_length()):
+            first, stop = _ranks_below(lo, j), _ranks_below(hi, j)
+            enumerate_to(stop)
+            pj, sj = p**j, s**j
+            for a, b in zip(nums[first:stop], dens[first:stop]):
+                yield Fraction(pj * a, sj * b), 1
+
+    return PrefixSequence(f"rich(q={q})", value_at, level_walk)
 
 
 def gen_spaceable(alpha: Sequence, n_max: int, k_max: int,
                   flavor: str = "dyadic") -> PrefixSequence:
     """Concrete combination of the disjointly supported rows: index m in
-    block (r, t) carries alpha_r * a_t inside the truncation, 0 outside."""
+    block (r, t) carries alpha_r * a_t inside the truncation, 0 outside.
+    Block (r, t) is the dyadic atom that cantor_unpair sends to (r, t)."""
     coeffs = [rat(a) for a in alpha]
     if len(coeffs) > n_max:
         raise ShapeError("more coefficients than rows")
     ladder = value_ladder(k_max, flavor)
-    r = realize_atoms("pairing")
 
-    def value_at(m: int) -> Fraction:
-        n, k = r.label(m)
+    @functools.cache
+    def level(j: int) -> Fraction:
+        n, k = cantor_unpair(j)
         if n < len(coeffs) and k <= k_max:
             return coeffs[n] * ladder[k]
         return Fraction(0)
 
-    return PrefixSequence(
+    return _on_dyadic_atoms(
         f"spaceable(alpha={[str(c) for c in coeffs]},n_max={n_max},"
         f"k_max={k_max},{flavor})",
-        value_at,
+        level,
     )
 
 
@@ -222,27 +262,47 @@ class ClusterEstimate:
         }
 
 
+def _weighted_mean(group: list[float], counts: dict[float, int]) -> tuple[float, int]:
+    """The correctly rounded mean of the floats v, each taken counts[v]
+    times, and the total count. Every float is an integer over a power of
+    two, so the sum is exact over the largest of those denominators."""
+    ratios = [v.as_integer_ratio() for v in group]
+    den = max(d for _, d in ratios)
+    num = sum(n * (den // d) * counts[v] for v, (n, d) in zip(group, ratios))
+    total = sum(counts[v] for v in group)
+    return num / (den * total), total
+
+
 def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
                       epsilon: float | None = None) -> ClusterEstimate:
-    """Evaluate the tail of a prefix, merge values at radius epsilon.
+    """Merge the tail values of a prefix at radius epsilon.
 
-    The default epsilon is 1e-6 relative to the tail's sup value. Merging is
-    single linkage on the sorted tail (split exactly at gaps > epsilon), so
-    the outcome is deterministic; centers are group means."""
+    The tail's exact levels (x.levels) are tallied by float value, sorted,
+    and split exactly at gaps > epsilon (single linkage), so the outcome is
+    deterministic. A cluster's support is the sum of its multiplicities and
+    its center is the correctly rounded mean of its float values, weighted
+    by multiplicity. Both depend only on the multiset of tail values, not on
+    how x groups them into levels. The default epsilon is 1e-6 relative to
+    the tail's sup value."""
     if n <= 0:
         raise EmptyInputError("need a nonempty prefix")
     if not 0 < tail_fraction <= 1:
         raise RangeError("tail_fraction must be in (0, 1]")
-    tail_len = max(1, math.ceil(n * tail_fraction))
-    tail = sorted(float(x.value_at(m)) for m in range(n - tail_len, n))
+    if epsilon is not None and not 0 <= epsilon < math.inf:
+        raise RangeError("epsilon must be finite and nonnegative")
+    tail_len = min(n, max(1, math.ceil(n * tail_fraction)))
+    counts: dict[float, int] = {}
+    for v, k in x.levels(n - tail_len, n):
+        f = float(v)
+        counts[f] = counts.get(f, 0) + k
+    tail = sorted(counts)
     if epsilon is None:
-        sup = max(abs(v) for v in tail)
+        sup = max(abs(tail[0]), abs(tail[-1]))
         epsilon = 1e-6 * sup if sup > 0 else 1e-6
     centers = []
     start = 0
     for i in range(1, len(tail) + 1):
         if i == len(tail) or tail[i] - tail[i - 1] > epsilon:
-            group = tail[start:i]
-            centers.append((sum(group) / len(group), len(group)))
+            centers.append(_weighted_mean(tail[start:i], counts))
             start = i
     return ClusterEstimate(tuple(centers), epsilon, float(tail_fraction))

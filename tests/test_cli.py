@@ -5,12 +5,13 @@ import sys
 import pytest
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "limprof.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -204,6 +205,33 @@ def test_sample_range_error_exit_2(workdir):
     p = run_cli("sample", "--gen", "fq", "--q", "3/2", "--len", "16")
     assert p.returncode == 2
     assert json.loads(p.stderr)["error"] == "range"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--len", "0"],
+    ["--len", "64", "--tail", "0"],
+    ["--len", "64", "--epsilon", "nan"],
+    ["--len", "64", "--epsilon", "inf"],
+    ["--len", "64", "--epsilon", "-1"],
+])
+def test_sample_bad_input_writes_nothing(workdir, flags):
+    csv_path, cl_path = workdir / "out.csv", workdir / "cl.json"
+    for gen in (["fq", "--q", "1/2"], ["rich", "--q", "1/2"]):
+        p = run_cli("sample", "--gen", *gen, *flags,
+                    "--csv", str(csv_path), "--clusters", str(cl_path))
+        assert p.returncode == 2, p.stderr
+        assert p.stdout == ""
+        assert json.loads(p.stderr)["error"] in ("empty", "range")
+        assert not csv_path.exists() and not cl_path.exists()
+
+
+def test_sample_huge_prefix_of_valuation_generator():
+    """combo's tail is read atom by atom, so a 2^40 prefix is instant."""
+    p = run_cli("sample", "--gen", "combo", "--d", "1,1", "--q", "1/2,1/3",
+                "--len", str(1 << 40), timeout=20)
+    assert p.returncode == 0, p.stderr
+    centers = json.loads(p.stdout)["centers"]
+    assert sum(k for _, k in centers) == 1 << 39
 
 
 def test_verify_tampered_exit_1(workdir):

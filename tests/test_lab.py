@@ -1,6 +1,9 @@
+import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -38,6 +41,20 @@ def test_calkin_wilf_prefix():
         Fraction(3),
         Fraction(1, 4),
     ]
+
+
+def fraction_calkin_wilf():
+    """The recurrence q -> 1 / (2 floor(q) - q + 1) on Fractions."""
+    q = Fraction(1)
+    while True:
+        yield q
+        q = 1 / (2 * Fraction(math.floor(q)) - q + 1)
+
+
+def test_calkin_wilf_matches_fraction_recurrence():
+    assert list(islice(calkin_wilf(), 70_000)) == list(islice(fraction_calkin_wilf(), 70_000))
+    oracle = (q for q in fraction_calkin_wilf() if q < 1)
+    assert list(first_unit_rationals(1 << 15)) == list(islice(oracle, 1 << 15))
 
 
 def test_unit_rationals_prefix():
@@ -237,23 +254,155 @@ def test_estimate_clusters_fq_powers():
         assert nearest < 1e-3
 
 
+GENERATORS = {
+    "fq": lambda: gen_fq(Fraction(2, 3)),
+    "combo": lambda: gen_combo([1, 1], [Fraction(1, 2), Fraction(1, 3)]),
+    "combo-signed": lambda: gen_combo([Fraction(7, 3), Fraction(-9, 4)],
+                                      [Fraction(3, 4), Fraction(1, 5)]),
+    "rich": lambda: gen_rich(Fraction(1, 2)),
+    "spaceable": lambda: gen_spaceable([Fraction(-5, 2), Fraction(4, 3), -1], 3, 8,
+                                       "rational-dense"),
+}
+
+
 def test_estimate_clusters_evaluates_only_the_tail():
     """value_at is a pure function of the index, so the head of the prefix
-    is never needed: exactly tail_len calls, all of them inside the tail."""
-    base = gen_combo([1, 1], [Fraction(1, 2), Fraction(1, 3)])
-    for n, tail in ((1000, 0.5), (1001, 0.25), (7, 1.0)):
-        seen = []
+    is never needed. A sequence built from value_at alone has one level per
+    index: exactly tail_len calls, all inside the tail, and the estimate is
+    bit for bit the one the generator's own levels give."""
+    for name, make in GENERATORS.items():
+        base = make()
+        for n, tail in ((1000, 0.5), (1001, 0.25), (7, 1.0), (4099, 0.5)):
+            seen = []
 
-        def value_at(m):
-            seen.append(m)
-            return base.value_at(m)
+            def value_at(m):
+                seen.append(m)
+                return base.value_at(m)
 
-        counted = PrefixSequence(base.descriptor, value_at)
-        est = estimate_clusters(counted, n, tail_fraction=tail, epsilon=1e-4)
-        tail_len = math.ceil(n * tail)
-        assert sorted(seen) == list(range(n - tail_len, n))
-        assert sum(k for _, k in est.centers) == tail_len
-        assert est == estimate_clusters(base, n, tail_fraction=tail, epsilon=1e-4)
+            counted = PrefixSequence(base.descriptor, value_at)
+            est = estimate_clusters(counted, n, tail_fraction=tail, epsilon=1e-4)
+            tail_len = math.ceil(n * tail)
+            assert sorted(seen) == list(range(n - tail_len, n)), name
+            assert sum(k for _, k in est.centers) == tail_len
+            assert est == estimate_clusters(base, n, tail_fraction=tail, epsilon=1e-4), name
+
+
+def level_counter(levels):
+    out = Counter()
+    for v, k in levels:
+        assert k > 0
+        out[v] += k
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_levels_match_value_at(name):
+    """The level walk of each generator lists exactly the values value_at
+    gives over [a, b), with their multiplicities."""
+    seq = GENERATORS[name]()
+    rng = random.Random(f"levels/{name}")
+    ranges = [(0, 1), (0, 2), (1, 2), (0, 5), (3, 3), (37, 1001), (1 << 12, 1 << 13)]
+    for _ in range(20):
+        a = rng.randrange(0, 5000)
+        ranges.append((a, a + rng.randrange(0, 3000)))
+    # criterion 11's largest prefix: its whole tail for the valuation
+    # generators, whose value_at is cheap, and the last 5000 indices for rich
+    ranges.append(((1 << 20) - 5000 if name == "rich" else 1 << 19, 1 << 20))
+    for a, b in ranges:
+        levels = list(seq.levels(a, b))
+        assert level_counter(levels) == Counter(seq.value_at(m) for m in range(a, b)), (a, b)
+        assert sum(k for _, k in levels) == b - a
+
+
+def test_valuation_generators_skip_value_at():
+    """fq, combo and spaceable list a tail atom by atom: a 2^40 prefix
+    takes about 40 levels and no value_at call."""
+
+    def refuse(m):
+        raise AssertionError("value_at called")
+
+    for name in ("fq", "combo", "spaceable"):
+        seq = dataclasses.replace(GENERATORS[name](), value_at=refuse)
+        assert len(list(seq.levels(0, 1 << 40))) <= 41
+        est = estimate_clusters(seq, 1 << 40, epsilon=1e-9)
+        assert sum(k for _, k in est.centers) == 1 << 39
+
+
+def float_sum_clusters(seq, n, tail_fraction, epsilon):
+    """The per-index estimator this module used to run: evaluate every tail
+    index, split the sorted floats at gaps > epsilon, and take running float
+    sums over group sizes as centers."""
+    tail_len = max(1, math.ceil(n * tail_fraction))
+    tail = sorted(float(seq.value_at(m)) for m in range(n - tail_len, n))
+    if epsilon is None:
+        sup = max(abs(v) for v in tail)
+        epsilon = 1e-6 * sup if sup > 0 else 1e-6
+    centers, start = [], 0
+    for i in range(1, len(tail) + 1):
+        if i == len(tail) or tail[i] - tail[i - 1] > epsilon:
+            group = tail[start:i]
+            centers.append((sum(group) / len(group), len(group)))
+            start = i
+    return centers
+
+
+def test_estimate_clusters_matches_float_sum_estimator():
+    """Level counts leave every support unchanged; exact means move centers
+    only in the last bits."""
+    for name, make in GENERATORS.items():
+        seq = make()
+        for n in (1000, 4099, 1 << 14):
+            for eps in (None, 1e-2, 1e-4, 1e-7):
+                got = estimate_clusters(seq, n, epsilon=eps).centers
+                want = float_sum_clusters(seq, n, 0.5, eps)
+                assert [k for _, k in got] == [k for _, k in want], (name, n, eps)
+                for (c, _), (w, _) in zip(got, want):
+                    assert abs(c - w) <= 1e-12 * abs(w), (name, n, eps, c, w)
+
+
+def test_cluster_centers_are_exact_weighted_means():
+    """Each center is the correctly rounded mean of its group's floats, and
+    a group of one distinct value has exactly that value as its center."""
+    values = [Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(7),
+              Fraction(1, 3), Fraction(7)]
+    seq = PrefixSequence("mixed", lambda m: values[m % len(values)])
+    est = estimate_clusters(seq, 600, tail_fraction=1.0, epsilon=0.5)
+    tenths = [float(v) for v in values[:3]] + [float(Fraction(1, 3))]
+    assert est.centers == (
+        (float(sum(Fraction(v) for v in tenths) / 4), 400),
+        (7.0, 200),
+    )
+    # a running float sum over the 400 indices drifts in the last digits
+    assert float_sum_clusters(seq, 600, 1.0, 0.5)[0] == (0.2333333333333315, 400)
+
+
+def test_estimate_clusters_rejects_bad_epsilon():
+    f = gen_fq(Fraction(1, 2))
+    for eps in (-1.0, -1e-300, math.nan, math.inf, -math.inf):
+        with pytest.raises(RangeError):
+            estimate_clusters(f, 64, epsilon=eps)
+    assert estimate_clusters(f, 64, epsilon=0.0).centers == estimate_clusters(
+        f, 64, epsilon=1e-9).centers
+
+
+def test_negative_indices_raise():
+    r = realize_atoms("dyadic-valuation")
+    pairing = realize_atoms("pairing")
+    for call in (r.label, r.rank, pairing.label, pairing.rank,
+                 *(make().value_at for make in GENERATORS.values())):
+        with pytest.raises(RangeError):
+            call(-1)
+    with pytest.raises(RangeError):
+        gen_fq(Fraction(1, 2)).levels(-1, 4)
+    with pytest.raises(RangeError):
+        gen_fq(Fraction(1, 2)).levels(5, 4)
+
+
+def test_valuation_of_large_indices():
+    r = realize_atoms("dyadic-valuation")
+    assert r.label((1 << 200) - 1) == 200
+    assert r.rank((1 << 200) - 1) == 0
+    assert r.label(3 * (1 << 90) - 1) == 90 and r.rank(3 * (1 << 90) - 1) == 1
 
 
 def test_cluster_count_monotone_in_length():
