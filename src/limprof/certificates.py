@@ -328,7 +328,14 @@ def _diff_paths(a, b, prefix: str, out: list[str], limit: int = 8) -> None:
 def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
     """Recompute witnesses and transcript from the embedded data; report
     every difference from what the certificate stored. Also fails when the
-    stored transcript itself concludes the claim is false."""
+    stored transcript itself concludes the claim is false. A certificate
+    written by another limprof version, or for an unknown claim, raises
+    LimprofError: this version cannot vouch for its payload."""
+    if cert.tool_version != __version__:
+        raise LimprofError(
+            f"certificate written by limprof {cert.tool_version!r}, "
+            f"this is {__version__!r}"
+        )
     if cert.claim not in CLAIMS:
         raise LimprofError(f"unknown claim {cert.claim!r}")
     payload = CLAIMS[cert.claim](cert.params, cert.inputs)

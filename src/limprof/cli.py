@@ -224,10 +224,11 @@ def cmd_sample(args) -> int:
         seq, args.len, tail_fraction=args.tail, epsilon=args.epsilon
     )
     if args.csv:
-        values = seq.evaluate(args.len)
+        # One row per value as it is computed, so memory stays flat in --len.
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             fh.write("index,value\n")
-            for i, v in enumerate(values):
+            for i in range(args.len):
+                v = seq.value_at(i)
                 cell = rat_str(v) if args.exact else f"{float(v):.17g}"
                 fh.write(f"{i},{cell}\n")
     payload = estimate.to_json()

@@ -265,7 +265,11 @@ class ClusterEstimate:
 def _weighted_mean(group: list[float], counts: dict[float, int]) -> tuple[float, int]:
     """The correctly rounded mean of the floats v, each taken counts[v]
     times, and the total count. Every float is an integer over a power of
-    two, so the sum is exact over the largest of those denominators."""
+    two, so the sum is exact over the largest of those denominators. The
+    mean of one value is that value."""
+    if len(group) == 1:
+        v = group[0]
+        return v, counts[v]
     ratios = [v.as_integer_ratio() for v in group]
     den = max(d for _, d in ratios)
     num = sum(n * (den // d) * counts[v] for v, (n, d) in zip(group, ratios))

@@ -7,6 +7,17 @@ rationals of the open unit interval without repetition.
 The walk runs on coprime integer pairs: q = a/b maps to
 b / ((2*floor(a/b) + 1)*b - a), and gcd(b, (2*floor(a/b) + 1)*b - a) =
 gcd(b, a) = 1, so every pair stays in lowest terms and no gcd is taken.
+
+The rationals below 1 need no filter. The sequence q_t lists the Calkin-Wilf
+tree level by level, left to right: the root is 1/1, and node a/b has left
+child a/(a+b) < 1 and right child (a+b)/b > 1 (Calkin and Wilf, "Recounting
+the rationals", Amer. Math. Monthly 107, 2000). So the terms below 1 are
+exactly the left children. Level k+1 lists the children of level k in their
+parents' order, left child first, and levels follow one another; so the
+left children appear in the order of their parents, and the t-th term below
+1 is the left child of q_t. For q_t = a/b that is a/(a+b), again in lowest
+terms since gcd(a, a+b) = gcd(a, b) = 1. One step of the walk therefore
+yields one unit rational, where filtering the walk takes two.
 """
 
 from __future__ import annotations
@@ -29,10 +40,10 @@ def calkin_wilf() -> Iterator[Fraction]:
 
 
 def unit_rational_pairs() -> Iterator[tuple[int, int]]:
-    """The terms of unit_rationals as coprime pairs (a, b) with a < b."""
+    """The terms of unit_rationals as coprime pairs (a, b) with a < b: the
+    left child (a, a + b) of every Calkin-Wilf term (a, b), in order."""
     for a, b in calkin_wilf_pairs():
-        if a < b:
-            yield a, b
+        yield a, a + b
 
 
 def unit_rationals() -> Iterator[Fraction]:

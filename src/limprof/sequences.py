@@ -228,12 +228,26 @@ def _pair_table(
     return table
 
 
+def _neighbours(pairs: frozenset[tuple[int, int]], count: int) -> list[set[int]]:
+    """nb[a]: the right atoms b whose pair (a, b) is declared infinite, for
+    each of the ``count`` left atoms a."""
+    nb: list[set[int]] = [set() for _ in range(count)]
+    for a, b in pairs:
+        nb[a].add(b)
+    return nb
+
+
 def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSequence:
     """Exact combination sum(c_i * x_i) as a canonical StepSequence.
 
-    Partitions are refined iteratively; a refined atom survives only when
-    every pairwise intersection along it is declared infinite. The value on
-    a refined atom is the coefficient-weighted sum of the member values.
+    Partitions are refined one live (nonzero-coefficient) sequence at a
+    time, in index order; a refined atom survives only when every pairwise
+    intersection along it is declared infinite. Each step builds, once per
+    earlier live sequence, the neighbour sets of its atoms in the new
+    sequence from the relation table, and extends a composite by the sorted
+    intersection of its members' neighbour sets, so composites come out in
+    lexicographic order. The value on a refined atom is the
+    coefficient-weighted sum of the member values.
     """
     if len(coeffs) != len(xs) or not xs:
         raise ShapeError("coeffs and xs must have equal nonzero length")
@@ -246,28 +260,21 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
     composites: list[tuple[int, ...]] = [(a,) for a in range(xs[live[0]].num_atoms)]
     for t in range(1, len(live)):
         sj = live[t]
+        nbs = [_neighbours(table[(si, sj)], xs[si].num_atoms) for si in live[:t]]
         new: list[tuple[int, ...]] = []
         for comp in composites:
-            for b in range(xs[sj].num_atoms):
-                ok = True
-                for u in range(t):
-                    si = live[u]
-                    key = (si, sj) if si < sj else (sj, si)
-                    pair = (comp[u], b) if si < sj else (b, comp[u])
-                    if pair not in table[key]:
-                        ok = False
-                        break
-                if ok:
-                    new.append(comp + (b,))
+            common = set.intersection(*(nb[a] for nb, a in zip(nbs, comp)))
+            new.extend(comp + (b,) for b in sorted(common))
         composites = new
     if not composites:
         raise BadRelationError("declared relations leave no infinite refined atom")
 
+    ids = [xs[i].partition.ids for i in live]
+    scaled = [[cs[i] * v for v in xs[i].values] for i in live]
     atoms = []
     values = []
     for comp in composites:
-        ids = [xs[live[u]].partition.atoms[comp[u]].id for u in range(len(live))]
-        atoms.append("&".join(ids))
-        values.append(sum((cs[live[u]] * xs[live[u]].values[comp[u]]
-                           for u in range(len(live))), Fraction(0)))
+        atoms.append("&".join(ids[u][a] for u, a in enumerate(comp)))
+        values.append(sum((scaled[u][a] for u, a in enumerate(comp) if scaled[u][a]),
+                          Fraction(0)))
     return canonicalize(SymbolicPartition.from_ids(atoms), values)

@@ -13,6 +13,10 @@ The edges come from each cap's definition:
   rows), and a matrix with one more column.
 - ``ODD_CAP`` admits ``construct odd --k`` up to ODD_CAP: k == ODD_CAP and
   k == ODD_CAP + 1.
+- ``FAMILY_CAP`` admits ``construct independent`` while split^k <=
+  FAMILY_CAP: for each split, the largest such k and k + 1.
+- ``POLYGON_CAP`` admits ``construct polygon --n`` up to POLYGON_CAP:
+  n == POLYGON_CAP and n == POLYGON_CAP + 1.
 """
 
 import json
@@ -24,7 +28,16 @@ import pytest
 
 import limprof.builders as builders
 import limprof.engine as engine
-from limprof.builders import GENERIC_CAP, ODD_CAP, generic_vectors, odd_space
+from limprof.builders import (
+    FAMILY_CAP,
+    GENERIC_CAP,
+    ODD_CAP,
+    POLYGON_CAP,
+    generic_vectors,
+    independent_family,
+    odd_space,
+    polygon_space,
+)
 from limprof.engine import PROFILE_CAP, matrix_to_json, multiplicity, profile
 from limprof.errors import TooLargeError
 from limprof.kernel import RatMatrix, vec
@@ -160,3 +173,73 @@ def test_odd_cap_is_checked_before_the_sign_vectors(monkeypatch):
     monkeypatch.setattr(builders, "product", no_build)
     with pytest.raises(TooLargeError):
         odd_space(ODD_CAP + 1)
+
+
+def family_edge(split):
+    """The largest k with split^k <= FAMILY_CAP."""
+    k = 1
+    while split ** (k + 1) <= FAMILY_CAP:
+        k += 1
+    return k
+
+
+def construct_and_verify(tmp_path, kind, *flags):
+    out = tmp_path / f"{kind}.json"
+    p = run_cli("construct", kind, *flags, "--out", str(out))
+    assert p.returncode == 0, p.stderr
+    assert json.loads(p.stdout)["pass"] is True
+    v = run_cli("verify", str(tmp_path / f"{kind}.cert.json"))
+    assert v.returncode == 0, v.stderr
+    assert json.loads(v.stdout)["verified"] is True
+    return out
+
+
+def construct_past_cap(tmp_path, kind, *flags):
+    out = tmp_path / f"{kind}.json"
+    p = run_cli("construct", kind, *flags, "--out", str(out))
+    assert p.returncode == 3
+    assert json.loads(p.stderr)["error"] == "too-large"
+    assert not out.exists() and p.stdout == ""
+    assert not (tmp_path / f"{kind}.cert.json").exists()
+
+
+@pytest.mark.parametrize("split", [2, 3])
+def test_independent_at_family_cap_finishes_and_verifies(split, tmp_path):
+    k = family_edge(split)
+    assert split**k <= FAMILY_CAP < split ** (k + 1)
+    out = construct_and_verify(tmp_path, "independent", "--k", str(k),
+                               "--split", str(split))
+    assert len(json.loads(out.read_text())["atoms"]) == split**k
+
+
+@pytest.mark.parametrize("split", [2, 3])
+def test_independent_past_family_cap_exits_3(split, tmp_path):
+    construct_past_cap(tmp_path, "independent", "--k", str(family_edge(split) + 1),
+                       "--split", str(split))
+
+
+@pytest.mark.parametrize("split", [2, 3])
+def test_family_cap_is_checked_before_the_atoms(split, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("independent_family started building past the cap")
+
+    monkeypatch.setattr(builders, "product", no_build)
+    with pytest.raises(TooLargeError):
+        independent_family(family_edge(split) + 1, split)
+
+
+def test_polygon_at_polygon_cap_finishes_and_verifies(tmp_path):
+    construct_and_verify(tmp_path, "polygon", "--n", str(POLYGON_CAP))
+
+
+def test_polygon_past_polygon_cap_exits_3(tmp_path):
+    construct_past_cap(tmp_path, "polygon", "--n", str(POLYGON_CAP + 1))
+
+
+def test_polygon_cap_is_checked_before_the_vertices(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("polygon_space started building past the cap")
+
+    monkeypatch.setattr(builders, "approx_regular_polygon", no_build)
+    with pytest.raises(TooLargeError):
+        polygon_space(POLYGON_CAP + 1)

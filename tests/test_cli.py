@@ -4,6 +4,11 @@ import sys
 
 import pytest
 
+import limprof
+import limprof.cli as cli
+import limprof.lab as lab
+from limprof.kernel import rat_str
+
 
 def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
@@ -201,6 +206,27 @@ def test_sample_exact_csv(workdir):
     ]
 
 
+@pytest.mark.parametrize("gen", [["fq", "--q", "1/2"], ["rich", "--q", "2/3"]])
+@pytest.mark.parametrize("length", [1, 7, 64, 1000])
+@pytest.mark.parametrize("exact", [False, True])
+def test_sample_csv_streams_rows(gen, length, exact, workdir, monkeypatch, capsys):
+    """The CSV is written row by row from value_at, never from a whole
+    evaluated prefix, and has the bytes the evaluated prefix gives."""
+    seq = {"fq": lab.gen_fq, "rich": lab.gen_rich}[gen[0]](gen[2])
+    cells = [rat_str(v) if exact else f"{float(v):.17g}" for v in seq.evaluate(length)]
+    expected = "index,value\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells))
+
+    def no_evaluate(self, n):
+        raise AssertionError("sample evaluated the whole prefix")
+
+    monkeypatch.setattr(lab.PrefixSequence, "evaluate", no_evaluate)
+    csv_path = workdir / "x.csv"
+    argv = ["sample", "--gen", *gen, "--len", str(length), "--csv", str(csv_path)]
+    assert cli.main(argv + ["--exact"] if exact else argv) == 0
+    assert csv_path.read_bytes() == expected.encode()
+    assert json.loads(capsys.readouterr().out)["centers"]
+
+
 def test_sample_range_error_exit_2(workdir):
     p = run_cli("sample", "--gen", "fq", "--q", "3/2", "--len", "16")
     assert p.returncode == 2
@@ -244,6 +270,34 @@ def test_verify_tampered_exit_1(workdir):
     p = run_cli("verify", str(cert_path))
     assert p.returncode == 1
     assert "verification.low" in p.stderr
+
+
+@pytest.mark.parametrize("version, code", [
+    (None, 0),  # no toolVersion: taken as this version
+    (limprof.__version__, 0),
+    ("0.0.9", 2),
+    ("9.9.9", 2),
+    (1, 2),
+])
+def test_verify_checks_tool_version(workdir, version, code):
+    out = workdir / "m.json"
+    run_cli("construct", "interval", "--n", "2", "--d", "0", "--out", str(out))
+    cert_path = workdir / "m.cert.json"
+    cert = json.loads(cert_path.read_text())
+    assert cert["toolVersion"] == limprof.__version__
+    if version is None:
+        del cert["toolVersion"]
+    else:
+        cert["toolVersion"] = version
+    cert_path.write_text(json.dumps(cert))
+    p = run_cli("verify", str(cert_path))
+    assert p.returncode == code, p.stderr
+    if code:
+        assert p.stdout == ""
+        error = json.loads(p.stderr)
+        assert error["error"] == "error" and str(version) in error["message"]
+    else:
+        assert json.loads(p.stdout)["verified"] is True
 
 
 def test_missing_file_exit_2():

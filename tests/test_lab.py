@@ -15,6 +15,7 @@ from limprof.errors import (
 )
 from limprof.lab import (
     PrefixSequence,
+    _weighted_mean,
     cantor_unpair,
     combo_values,
     estimate_clusters,
@@ -25,7 +26,13 @@ from limprof.lab import (
     h_sequence,
     realize_atoms,
 )
-from limprof.rationals import calkin_wilf, first_unit_rationals, unit_rationals
+from limprof.rationals import (
+    calkin_wilf,
+    calkin_wilf_pairs,
+    first_unit_rationals,
+    unit_rational_pairs,
+    unit_rationals,
+)
 
 
 def test_calkin_wilf_prefix():
@@ -55,6 +62,12 @@ def test_calkin_wilf_matches_fraction_recurrence():
     assert list(islice(calkin_wilf(), 70_000)) == list(islice(fraction_calkin_wilf(), 70_000))
     oracle = (q for q in fraction_calkin_wilf() if q < 1)
     assert list(first_unit_rationals(1 << 15)) == list(islice(oracle, 1 << 15))
+
+
+def test_unit_rational_pairs_are_the_filtered_walk():
+    """Left children of the walk's terms are its terms below 1, in order."""
+    filtered = ((a, b) for a, b in calkin_wilf_pairs() if a < b)
+    assert list(islice(unit_rational_pairs(), 200_000)) == list(islice(filtered, 200_000))
 
 
 def test_unit_rationals_prefix():
@@ -374,6 +387,21 @@ def test_cluster_centers_are_exact_weighted_means():
     )
     # a running float sum over the 400 indices drifts in the last digits
     assert float_sum_clusters(seq, 600, 1.0, 0.5)[0] == (0.2333333333333315, 400)
+
+
+def test_weighted_mean_of_one_value_is_that_value():
+    """The one-value shortcut agrees with the exact mean it skips."""
+    def exact_mean(v, count):
+        n, d = v.as_integer_ratio()
+        return n * count / (d * count), count
+
+    rng = random.Random("one-value-mean")
+    values = [0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+              -1.7976931348623157e308, 0.1, -1 / 3, 7.0]
+    values += [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1070, 1020) for _ in range(500)]
+    for v in values:
+        count = rng.randint(1, 1 << 20)
+        assert _weighted_mean([v], {v: count}) == exact_mean(v, count)
 
 
 def test_estimate_clusters_rejects_bad_epsilon():
