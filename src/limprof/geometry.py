@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     TooLargeError,
 )
-from .kernel import normalize_primitive, rat, vec
+from .kernel import normalize_primitive, rat
 from .sequences import InfinitudeRelation, StepSequence
 
 Point = tuple[Fraction, Fraction]
@@ -47,11 +47,6 @@ class Direction:
 
     a: int
     b: int
-
-    @classmethod
-    def of(cls, dx, dy) -> "Direction":
-        n = normalize_primitive((rat(dx), rat(dy)))
-        return cls(int(n[0]), int(n[1]))
 
     @property
     def normal(self) -> tuple[Fraction, Fraction]:
@@ -80,36 +75,70 @@ class PointConfig:
         return len(self.points)
 
 
-def collinear(config: PointConfig) -> bool:
-    """Exact test; configurations of one or two points count as collinear."""
-    pts = config.points
-    if len(pts) <= 2:
-        return True
+def _integer_points(config: PointConfig) -> list[tuple[int, int]]:
+    """The points scaled by the lcm of all coordinate denominators. A
+    uniform scale keeps every direction and every class count."""
+    scale = math.lcm(*(c.denominator for p in config.points for c in p))
+    return [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in config.points]
+
+
+def _collinear(pts: list[tuple[int, int]]) -> bool:
     ox, oy = pts[0]
     dx, dy = None, None
     for x, y in pts[1:]:
         if dx is None:
             dx, dy = x - ox, y - oy
-            continue
-        if dx * (y - oy) - dy * (x - ox) != 0:
+        elif dx * (y - oy) != dy * (x - ox):
             return False
     return True
 
 
+def _directions(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Keys (a, b) of the primitive directions through two distinct points,
+    canonical sign (a > 0, or a == 0 and b > 0), sorted."""
+    dirs = set()
+    for i, (x0, y0) in enumerate(pts):
+        for x1, y1 in pts[i + 1:]:
+            a, b = x1 - x0, y1 - y0
+            g = math.gcd(a, b)
+            if a < 0 or (a == 0 and b < 0):
+                g = -g
+            dirs.add((a // g, b // g))
+    return sorted(dirs)
+
+
+def _classes(pts: list[tuple[int, int]], a: int, b: int) -> int:
+    """Lines parallel to (a, b) through the points: values of b*x - a*y."""
+    return len({b * x - a * y for x, y in pts})
+
+
+def collinear(config: PointConfig) -> bool:
+    """Exact test; configurations of one or two points count as collinear."""
+    return _collinear(_integer_points(config))
+
+
 def direction_classes(config: PointConfig, direction: Direction) -> int:
     """Number of lines parallel to ``direction`` needed to cover the points."""
-    b, na = direction.normal
-    return len({b * x + na * y for x, y in config.points})
+    return _classes(_integer_points(config), direction.a, direction.b)
 
 
 def pair_directions(config: PointConfig) -> list[Direction]:
     """All directions determined by two distinct points, sorted canonically."""
-    dirs = set()
-    pts = config.points
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dirs.add(Direction.of(pts[j][0] - pts[i][0], pts[j][1] - pts[i][1]))
-    return sorted(dirs, key=Direction.key)
+    return [Direction(a, b) for a, b in _directions(_integer_points(config))]
+
+
+def _search(pts: list[tuple[int, int]]) -> tuple[Direction, int]:
+    """pinchasi_search on the integer points of a non-collinear config."""
+    best: tuple[tuple[int, int], int] | None = None
+    for a, b in _directions(pts):
+        c = _classes(pts, a, b)
+        if best is None or c > best[1]:
+            best = ((a, b), c)
+    m = len(pts)
+    if best is None or not (m + 1) // 2 <= best[1] <= m - 1:
+        raise InternalError(f"pinchasi_search: {best} breaks the bounds for {m} points")
+    return Direction(*best[0]), best[1]
 
 
 def pinchasi_search(config: PointConfig) -> tuple[Direction, int]:
@@ -118,17 +147,10 @@ def pinchasi_search(config: PointConfig) -> tuple[Direction, int]:
 
     Raises CollinearError when the configuration is collinear (then a single
     line covers everything and no bound below m-1 exists)."""
-    if collinear(config):
+    pts = _integer_points(config)
+    if _collinear(pts):
         raise CollinearError("point configuration is collinear")
-    best: tuple[Direction, int] | None = None
-    for d in pair_directions(config):
-        c = direction_classes(config, d)
-        if best is None or c > best[1]:
-            best = (d, c)
-    m = len(config)
-    if best is None or not (m + 1) // 2 <= best[1] <= m - 1:
-        raise InternalError(f"pinchasi_search: {best} breaks the bounds for {m} points")
-    return best
+    return _search(pts)
 
 
 @dataclass(frozen=True)
@@ -163,11 +185,11 @@ def escape(
     pts = tuple(
         (x.values[i], y.values[j]) for i, j in sorted(rel.pairs)
     )
-    config = PointConfig(pts)
-    if collinear(config):
-        base = pts[0]
+    ipts = _integer_points(PointConfig(pts))
+    if _collinear(ipts):
+        base = ipts[0]
         direction = None
-        for p in pts[1:]:
+        for p in ipts[1:]:
             if p != base:
                 direction = (p[0] - base[0], p[1] - base[1])
                 break
@@ -175,12 +197,12 @@ def escape(
             a, b = Fraction(1), Fraction(0)  # single value pair: x alone converges
         else:
             a, b = normalize_primitive((-direction[1], direction[0]))
-        if len({a * px + b * py for px, py in pts}) != 1:
+        if len({a * px + b * py for px, py in ipts}) != 1:
             raise InternalError("escape: collinear points not on one level line")
         if 1 in forb:
             return None
         return EscapeWitness(a, b, 1, forb, pts)
-    d, count = pinchasi_search(config)
+    d, count = _search(ipts)
     if count in forb:
         return None
     a, b = normalize_primitive(d.normal)

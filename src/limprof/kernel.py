@@ -26,7 +26,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InternalError, ShapeError, UnavoidableError
+from .errors import InternalError, ShapeError, UnavoidableError, ZeroDirectionError
 
 Rat = Fraction
 Vec = tuple[Fraction, ...]
@@ -40,8 +40,13 @@ def rat(x) -> Fraction:
         return x
     if isinstance(x, bool):
         raise TypeError(f"refusing bool {x!r} as a rational")
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError("refusing float -> Fraction coercion; pass a string or int")
     raise TypeError(f"cannot interpret {x!r} as a rational")
@@ -347,7 +352,7 @@ def normalize_primitive(v: Sequence[Fraction]) -> Vec:
     """Scale a nonzero rational vector to integer entries, gcd 1, first nonzero positive."""
     v = vec(v)
     if is_zero_vec(v):
-        raise ValueError("cannot normalize the zero vector")
+        raise ZeroDirectionError("cannot normalize the zero vector")
     mult = lcm(*(x.denominator for x in v)) if len(v) > 1 else v[0].denominator
     ints = [int(x * mult) for x in v]
     g = 0

@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, repeat
 from typing import Callable, Iterable, Sequence
 
 from .builders import value_ladder
@@ -90,25 +90,33 @@ class PrefixSequence:
 
     level_walk(a, b), when given, lists the values over the indices in
     [a, b) with their multiplicities, as value_at would give them, without
-    visiting each index."""
+    visiting each index. It yields (numerator, denominator, multiplicity)
+    int triples; a pair need not be in lowest terms."""
 
     descriptor: str
     value_at: Callable[[int], Fraction]
-    level_walk: Callable[[int, int], Iterable[tuple[Fraction, int]]] | None = None
+    level_walk: Callable[[int, int], Iterable[tuple[int, int, int]]] | None = None
 
     def evaluate(self, n: int) -> list[Fraction]:
         return [self.value_at(m) for m in range(n)]
 
-    def levels(self, a: int, b: int) -> Iterable[tuple[Fraction, int]]:
-        """The exact values over the indices in [a, b), each paired with a
-        positive multiplicity; the multiplicities sum to b - a. A value may
-        appear in more than one pair. Without a level walk every index is
-        its own level."""
+    def integer_levels(self, a: int, b: int) -> Iterable[tuple[int, int, int]]:
+        """The values over the indices in [a, b) as (numerator, denominator,
+        multiplicity) int triples with positive denominators and positive
+        multiplicities; the multiplicities sum to b - a. A value may appear
+        in more than one triple, and a pair need not be reduced. Without a
+        level walk every index is its own level."""
         if not 0 <= a <= b:
             raise RangeError(f"need 0 <= a <= b, got [{a}, {b})")
         if self.level_walk is None:
-            return ((self.value_at(m), 1) for m in range(a, b))
+            return ((v.numerator, v.denominator, 1) for v in map(self.value_at, range(a, b)))
         return self.level_walk(a, b)
+
+    def levels(self, a: int, b: int) -> Iterable[tuple[Fraction, int]]:
+        """The exact values over the indices in [a, b), each paired with a
+        positive multiplicity; the multiplicities sum to b - a. A value may
+        appear in more than one pair."""
+        return ((Fraction(num, den), k) for num, den, k in self.integer_levels(a, b))
 
 
 def _on_dyadic_atoms(descriptor: str, level: Callable[[int], Fraction]) -> PrefixSequence:
@@ -118,7 +126,8 @@ def _on_dyadic_atoms(descriptor: str, level: Callable[[int], Fraction]) -> Prefi
         for j in range(b.bit_length()):
             count = _ranks_below(b, j) - _ranks_below(a, j)
             if count:
-                yield level(j), count
+                v = level(j)
+                yield v.numerator, v.denominator, count
 
     return PrefixSequence(descriptor, lambda m: level(_atom(m)), level_walk)
 
@@ -143,12 +152,22 @@ def combo_values(d: Sequence, q: Sequence) -> Callable[[int], Fraction]:
     for x in qs:
         if not 0 < x < 1:
             raise RangeError("need 0 < q < 1 for every ratio")
-    cache: dict[int, Fraction] = {}
+    # Term t at level j is dn_t p_t^j / (dd_t s_t^j) with d_t = dn_t/dd_t
+    # and q_t = p_t/s_t. Levels are built in ascending j from the running
+    # powers (p_t^j, s_t^j), summed over one common denominator.
+    steps = [(x.numerator, x.denominator) for x in qs]
+    terms = [(x.numerator, x.denominator) for x in ds]  # (dn_t p_t^j, dd_t s_t^j)
+    levels: list[Fraction] = []
 
     def h(j: int) -> Fraction:
-        if j not in cache:
-            cache[j] = sum((dt * qt**j for dt, qt in zip(ds, qs)), Fraction(0))
-        return cache[j]
+        nonlocal terms
+        while len(levels) <= j:
+            num, den = 0, 1
+            for tn, td in terms:
+                num, den = num * td + tn * den, den * td
+            levels.append(Fraction(num, den))
+            terms = [(tn * p, td * s) for (tn, td), (p, s) in zip(terms, steps)]
+        return levels[j]
 
     return h
 
@@ -188,8 +207,8 @@ def h_sequence(d: Sequence, q: Sequence, j_count: int) -> HSequenceReport:
 def gen_rich(q) -> PrefixSequence:
     """Value q^j * r_i at the i-th index of atom j, where r is a fixed
     enumeration of the rationals in (0, 1): every scaled copy q^j * (0,1)
-    fills in densely as the prefix grows. Values are built from the integer
-    pairs of q^j and r_i."""
+    fills in densely as the prefix grows. Its levels are the integer pairs
+    (p^j a, s^j b) for q = p/s and r_i = a/b, taken without a gcd."""
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
@@ -213,9 +232,8 @@ def gen_rich(q) -> PrefixSequence:
         for j in range(hi.bit_length()):
             first, stop = _ranks_below(lo, j), _ranks_below(hi, j)
             enumerate_to(stop)
-            pj, sj = p**j, s**j
-            for a, b in zip(nums[first:stop], dens[first:stop]):
-                yield Fraction(pj * a, sj * b), 1
+            yield from zip(map((p**j).__mul__, nums[first:stop]),
+                           map((s**j).__mul__, dens[first:stop]), repeat(1))
 
     return PrefixSequence(f"rich(q={q})", value_at, level_walk)
 
@@ -281,13 +299,13 @@ def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
                       epsilon: float | None = None) -> ClusterEstimate:
     """Merge the tail values of a prefix at radius epsilon.
 
-    The tail's exact levels (x.levels) are tallied by float value, sorted,
-    and split exactly at gaps > epsilon (single linkage), so the outcome is
-    deterministic. A cluster's support is the sum of its multiplicities and
-    its center is the correctly rounded mean of its float values, weighted
-    by multiplicity. Both depend only on the multiset of tail values, not on
-    how x groups them into levels. The default epsilon is 1e-6 relative to
-    the tail's sup value."""
+    The tail's exact levels (x.integer_levels) are tallied by float value,
+    sorted, and split exactly at gaps > epsilon (single linkage), so the
+    outcome is deterministic. A cluster's support is the sum of its
+    multiplicities and its center is the correctly rounded mean of its float
+    values, weighted by multiplicity. Both depend only on the multiset of
+    tail values, not on how x groups them into levels. The default epsilon
+    is 1e-6 relative to the tail's sup value."""
     if n <= 0:
         raise EmptyInputError("need a nonempty prefix")
     if not 0 < tail_fraction <= 1:
@@ -295,9 +313,11 @@ def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
     if epsilon is not None and not 0 <= epsilon < math.inf:
         raise RangeError("epsilon must be finite and nonnegative")
     tail_len = min(n, max(1, math.ceil(n * tail_fraction)))
+    # int true division is correctly rounded, so num / den is the float of
+    # the exact value whether or not the pair is reduced.
     counts: dict[float, int] = {}
-    for v, k in x.levels(n - tail_len, n):
-        f = float(v)
+    for num, den, k in x.integer_levels(n - tail_len, n):
+        f = num / den
         counts[f] = counts.get(f, 0) + k
     tail = sorted(counts)
     if epsilon is None:

@@ -83,9 +83,9 @@ class StepSequence:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "StepSequence":
-        atoms = [str(a) for a in data["atoms"]]
-        values = [rat(v) for v in data["values"]]
-        return canonicalize(SymbolicPartition.from_ids(atoms), values)
+        atoms, values = _json_object(data, ("atoms", "values"))
+        values = [rat(v) for v in _json_list(values, "values")]
+        return canonicalize(SymbolicPartition.from_ids(_json_ids(atoms)), values)
 
 
 def step_sequence(pairs: Iterable[tuple[str, object]]) -> StepSequence:
@@ -168,10 +168,44 @@ class InfinitudeRelation:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InfinitudeRelation":
-        left = SymbolicPartition.from_ids(str(a) for a in data["left"])
-        right = SymbolicPartition.from_ids(str(a) for a in data["right"])
-        pairs = frozenset((int(i), int(j)) for i, j in data["pairs"])
-        return cls(left, right, pairs)
+        left, right, pairs = _json_object(data, ("left", "right", "pairs"))
+        pairs = _json_list(pairs, "pairs")
+        for p in pairs:
+            if not (isinstance(p, list) and len(p) == 2
+                    and all(type(i) is int for i in p)):
+                raise ShapeError(f"relation pair {p!r} is not two integer indices")
+        return cls(SymbolicPartition.from_ids(_json_ids(left)),
+                   SymbolicPartition.from_ids(_json_ids(right)),
+                   frozenset((i, j) for i, j in pairs))
+
+
+def _json_object(data, keys: tuple[str, ...]) -> list:
+    """The values, in the order of ``keys``, of a JSON object that has
+    exactly those keys."""
+    if not isinstance(data, dict) or set(data) != set(keys):
+        raise ShapeError(f"expected an object with exactly the keys {', '.join(keys)}")
+    return [data[k] for k in keys]
+
+
+def _json_list(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise ShapeError(f"{what} must be a list")
+    return data
+
+
+def _json_ids(data) -> list[str]:
+    ids = _json_list(data, "atom ids")
+    if not all(isinstance(a, str) for a in ids):
+        raise ShapeError("atom ids must be strings")
+    return ids
+
+
+def pair_from_json(data) -> tuple[StepSequence, StepSequence, InfinitudeRelation]:
+    """The sequences x, y and their relation from an object with exactly
+    the keys x, y and relation (the ``limprof escape`` input)."""
+    x, y, rel = _json_object(data, ("x", "y", "relation"))
+    return (StepSequence.from_json(x), StepSequence.from_json(y),
+            InfinitudeRelation.from_json(rel))
 
 
 RelationTable = Mapping[tuple[int, int], frozenset[tuple[int, int]]]

@@ -17,6 +17,9 @@ The edges come from each cap's definition:
   FAMILY_CAP: for each split, the largest such k and k + 1.
 - ``POLYGON_CAP`` admits ``construct polygon --n`` up to POLYGON_CAP:
   n == POLYGON_CAP and n == POLYGON_CAP + 1.
+- ``SAMPLE_CAP`` admits ``sample --len`` up to SAMPLE_CAP on the paths that
+  visit every index, ``--gen rich`` and ``--csv``: both at once at
+  --len == SAMPLE_CAP, and each alone at SAMPLE_CAP + 1.
 """
 
 import json
@@ -27,6 +30,7 @@ import sys
 import pytest
 
 import limprof.builders as builders
+import limprof.cli as cli
 import limprof.engine as engine
 from limprof.builders import (
     FAMILY_CAP,
@@ -38,6 +42,7 @@ from limprof.builders import (
     odd_space,
     polygon_space,
 )
+from limprof.cli import SAMPLE_CAP
 from limprof.engine import PROFILE_CAP, matrix_to_json, multiplicity, profile
 from limprof.errors import TooLargeError
 from limprof.kernel import RatMatrix, vec
@@ -243,3 +248,41 @@ def test_polygon_cap_is_checked_before_the_vertices(monkeypatch):
     monkeypatch.setattr(builders, "approx_regular_polygon", no_build)
     with pytest.raises(TooLargeError):
         polygon_space(POLYGON_CAP + 1)
+
+
+def test_sample_at_sample_cap_finishes(tmp_path):
+    csv_path, cl_path = tmp_path / "rich.csv", tmp_path / "cl.json"
+    p = run_cli("sample", "--gen", "rich", "--q", "7/9", "--len", str(SAMPLE_CAP),
+                "--csv", str(csv_path), "--clusters", str(cl_path))
+    assert p.returncode == 0, p.stderr
+    assert sum(k for _, k in json.loads(p.stdout)["centers"]) == SAMPLE_CAP // 2
+    assert cl_path.read_text() == p.stdout
+    with csv_path.open() as fh:
+        assert sum(1 for _ in fh) == SAMPLE_CAP + 1
+
+
+def linear_sample_flags(path, tmp_path):
+    """A sample that visits every index: rich, or fq written to a CSV."""
+    if path == "rich":
+        return ["--gen", "rich", "--q", "7/9"]
+    return ["--gen", "fq", "--q", "1/2", "--csv", str(tmp_path / "x.csv")]
+
+
+@pytest.mark.parametrize("path", ["rich", "csv"])
+def test_sample_past_sample_cap_exits_3(path, tmp_path):
+    p = run_cli("sample", *linear_sample_flags(path, tmp_path), "--len", str(SAMPLE_CAP + 1),
+                "--clusters", str(tmp_path / "cl.json"))
+    assert p.returncode == 3
+    assert json.loads(p.stderr)["error"] == "too-large"
+    assert p.stdout == "" and list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("path", ["rich", "csv"])
+def test_sample_cap_is_checked_before_the_estimate(path, tmp_path, monkeypatch):
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("estimate started past the cap")
+
+    monkeypatch.setattr(cli, "estimate_clusters", no_estimate)
+    argv = ["sample", *linear_sample_flags(path, tmp_path), "--len", str(SAMPLE_CAP + 1)]
+    assert cli.main(argv) == 3
+    assert list(tmp_path.iterdir()) == []

@@ -1,8 +1,12 @@
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import limprof
 import limprof.cli as cli
@@ -356,3 +360,116 @@ def test_internal_error_exit_4(workdir, monkeypatch, capsys):
     monkeypatch.setattr(engine, "multiplicity", lambda m, alpha: 2)
     assert cli.main(["refute", str(path), "--n", "2", "--d", "0"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "internal"
+
+
+# A well-formed escape input; every malformed one below differs from it in
+# exactly one place.
+VALID_PAIR = {
+    "x": {"atoms": ["a", "b", "c"], "values": ["0", "1", "-2/3"]},
+    "y": {"atoms": ["d", "e", "f"], "values": ["0", "1/2", "3"]},
+    "relation": {"left": ["a", "b", "c"], "right": ["d", "e", "f"],
+                 "pairs": [[0, 0], [0, 1], [1, 1], [1, 2], [2, 0], [2, 2]]},
+}
+OBJECTS = {(): ("x", "y", "relation"), ("x",): ("atoms", "values"),
+           ("y",): ("atoms", "values"), ("relation",): ("left", "right", "pairs")}
+ID_LISTS = [("x", "atoms"), ("y", "atoms"), ("relation", "left"), ("relation", "right")]
+VALUE_LISTS = [("x", "values"), ("y", "values")]
+LISTS = ID_LISTS + VALUE_LISTS + [("relation", "pairs")]
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+# Fraction's grammar needs a decimal digit, so text without one is never a
+# rational; the listed strings have digits and are still not rationals.
+NON_RATIONAL = st.text(st.characters(exclude_categories=("Nd",)), max_size=6) | st.sampled_from(
+    ["1/0", "-7/0", "0/0", "1/2/3", "1//2", "2/-3", "0x1f", "1 2", "--1", "/3"])
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _malformed_pair(draw):
+    pair = json.loads(json.dumps(VALID_PAIR))
+    kind = draw(st.sampled_from(["wrong type", "missing key", "extra key",
+                                 "mismatched ids", "non-rational", "empty list"]))
+    if kind == "wrong type":
+        node = draw(st.sampled_from(["object", "list", "id", "value", "pair", "index"]))
+        if node == "object":
+            path = draw(st.sampled_from(sorted(OBJECTS)))
+            bad = draw(ANY_JSON.filter(lambda v: not isinstance(v, dict)))
+        elif node == "list":
+            path = draw(st.sampled_from(LISTS))
+            bad = draw(ANY_JSON.filter(lambda v: not isinstance(v, list)))
+        elif node == "id":
+            path = (*draw(st.sampled_from(ID_LISTS)), draw(st.integers(0, 2)))
+            bad = draw(ANY_JSON.filter(lambda v: not isinstance(v, str)))
+        elif node == "value":
+            path = (*draw(st.sampled_from(VALUE_LISTS)), draw(st.integers(0, 2)))
+            bad = draw(ANY_JSON.filter(lambda v: not isinstance(v, (int, str))
+                                       or isinstance(v, bool)))
+        elif node == "pair":
+            path = ("relation", "pairs", draw(st.integers(0, 5)))
+            bad = draw(ANY_JSON.filter(lambda v: not isinstance(v, list) or len(v) != 2))
+        else:
+            path = ("relation", "pairs", draw(st.integers(0, 5)), draw(st.integers(0, 1)))
+            bad = draw(ANY_JSON.filter(lambda v: type(v) is not int))
+        if path:
+            _at(pair, path[:-1])[path[-1]] = bad
+        else:
+            pair = bad
+    elif kind == "missing key":
+        path = draw(st.sampled_from(sorted(OBJECTS)))
+        del _at(pair, path)[draw(st.sampled_from(OBJECTS[path]))]
+    elif kind == "extra key":
+        path = draw(st.sampled_from(sorted(OBJECTS)))
+        key = draw(st.text(max_size=6).filter(lambda k: k not in OBJECTS[path]))
+        _at(pair, path)[key] = draw(ANY_JSON)
+    elif kind == "mismatched ids":
+        side, atoms = draw(st.sampled_from([("left", "x"), ("right", "y")]))
+        ids = draw(st.lists(st.text(max_size=3), max_size=4, unique=True)
+                   .filter(lambda ids: ids != pair[atoms]["atoms"]))
+        pair["relation"][side] = ids
+    elif kind == "non-rational":
+        path = draw(st.sampled_from(VALUE_LISTS))
+        _at(pair, path)[draw(st.integers(0, 2))] = draw(NON_RATIONAL)
+    else:
+        path = draw(st.sampled_from(LISTS))
+        _at(pair, path[:-1])[path[-1]] = []
+    return kind, pair
+
+
+def run_escape_in_process(pair, path):
+    path.write_text(json.dumps(pair), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["escape", str(path), "--forbidden", "1,2"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def pair_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("escape-fuzz") / "pair.json"
+
+
+def test_escape_accepts_the_valid_pair(pair_path):
+    code, out, err = run_escape_in_process(VALID_PAIR, pair_path)
+    assert code == 0 and err == ""
+    assert json.loads(out)["claim"] == "escape"
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_escape_rejects_malformed_pair_json(pair_path, data):
+    """Malformed pair JSON exits 2 or 3 with one JSON error line on stderr,
+    never a traceback and never an answer."""
+    kind, pair = _malformed_pair(data.draw)
+    code, out, err = run_escape_in_process(pair, pair_path)
+    assert code in (2, 3), (kind, pair, out)
+    assert out == "" and "Traceback" not in err
+    assert json.loads(err)["error"]

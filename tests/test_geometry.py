@@ -6,6 +6,7 @@ import pytest
 from limprof.errors import CollinearError, ShapeError
 from limprof.geometry import (
     Direction,
+    EscapeWitness,
     PointConfig,
     approx_direction_census,
     approx_regular_polygon,
@@ -15,16 +16,26 @@ from limprof.geometry import (
     pair_directions,
     pinchasi_search,
 )
+from limprof.kernel import normalize_primitive, rat
 from limprof.sequences import InfinitudeRelation, combine, step_sequence
 
 SQUARE = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
+def direction_of(dx, dy):
+    """The Fraction construction of a pair direction before integer points:
+    normalize_primitive of the rational difference."""
+    n = normalize_primitive((rat(dx), rat(dy)))
+    return Direction(int(n[0]), int(n[1]))
+
+
 def test_direction_normalization():
-    assert Direction.of(2, 4) == Direction(1, 2)
-    assert Direction.of(-1, 2) == Direction(1, -2)
-    assert Direction.of(0, -3) == Direction(0, 1)
-    assert Direction.of(Fraction(1, 2), Fraction(1, 3)) == Direction(3, 2)
+    for (dx, dy), want in [((2, 4), Direction(1, 2)), ((-1, 2), Direction(1, -2)),
+                           ((0, -3), Direction(0, 1)),
+                           ((Fraction(1, 2), Fraction(1, 3)), Direction(3, 2))]:
+        assert direction_of(dx, dy) == want
+        assert pair_directions(PointConfig.of([(0, 0), (dx, dy)])) == [want]
+        assert pair_directions(PointConfig.of([(dx, dy), (0, 0)])) == [want]
 
 
 def test_point_config_validation():
@@ -54,7 +65,7 @@ def test_direction_classes_affine_invariance():
         while len(pts) < 5:
             pts.add((rng.randint(-5, 5), rng.randint(-5, 5)))
         cfg = PointConfig.of(sorted(pts))
-        d = Direction.of(1, rng.randint(-3, 3))
+        d = direction_of(1, rng.randint(-3, 3))
         base = direction_classes(cfg, d)
         shift = PointConfig.of([(x + 7, y - 3) for x, y in cfg.points])
         scaled = PointConfig.of([(3 * x, 3 * y) for x, y in cfg.points])
@@ -80,7 +91,7 @@ def test_pinchasi_square():
 def test_pinchasi_five_points():
     cfg = PointConfig.of([(0, 0), (0, 1), (0, 2), (1, 3), (1, 4)])
     # the direction through (0,0) and (1,3) covers the set with 3 lines
-    assert direction_classes(cfg, Direction.of(1, 3)) == 3
+    assert direction_classes(cfg, direction_of(1, 3)) == 3
     d, count = pinchasi_search(cfg)
     assert 3 <= count <= 4
     # the maximal pair direction actually achieves 4 classes here
@@ -187,3 +198,77 @@ def test_approx_regular_polygon_distinct_abscissas():
 def test_approx_census_matches_exact_square():
     pts = [(1.0, 2.0), (2.0, -1.0), (-1.0, -2.0), (-2.0, 1.0)]
     assert approx_direction_census(pts) == (2, 3, 4)
+
+
+def fraction_search(cfg):
+    """The Fraction search this module ran before integer points: one
+    direction_of per point pair, sorted by Direction.key, and classes
+    counted as the distinct b*x + na*y with (b, na) the direction's normal.
+    Returns the sorted directions, each one's class count, and the first
+    direction with the maximal count."""
+    pts = cfg.points
+    dirs = sorted({direction_of(q[0] - p[0], q[1] - p[1])
+                   for i, p in enumerate(pts) for q in pts[i + 1:]}, key=Direction.key)
+    counts = []
+    for d in dirs:
+        b, na = d.normal
+        counts.append(len({b * x + na * y for x, y in pts}))
+    best = max(range(len(dirs)), key=lambda t: (counts[t], -t))
+    return dirs, counts, (dirs[best], counts[best])
+
+
+def seeded_configs(seed, count):
+    """Non-collinear configurations of 3..18 points: negative coordinates,
+    mixed denominators (some points integral, some over 2..12), and small
+    grids, so that tied maxima are common."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = 3 + len(out) % 16
+        span = rng.choice([2, 3, 9])
+        pts = set()
+        while len(pts) < m:
+            pts.add(tuple(Fraction(rng.randint(-span, span), rng.choice([1, 1, 2, 3, 4, 6, 12]))
+                          for _ in range(2)))
+        cfg = PointConfig(tuple(rng.sample(sorted(pts), m)))  # unsorted: pair signs vary
+        if not collinear(cfg):
+            out.append(cfg)
+    return out
+
+
+def test_integer_search_matches_fraction_oracle():
+    """pair_directions, direction_classes and pinchasi_search on integer
+    points give the Fraction oracle's directions, counts and witness, tie
+    break included."""
+    ties = 0
+    for cfg in seeded_configs("pinchasi-oracle", 160):
+        dirs, counts, best = fraction_search(cfg)
+        assert pair_directions(cfg) == dirs
+        assert [direction_classes(cfg, d) for d in dirs] == counts
+        assert pinchasi_search(cfg) == best
+        ties += counts.count(best[1]) > 1
+    assert ties >= 100  # the first-in-order rule is what picks the witness
+
+
+def test_escape_matches_fraction_oracle():
+    rng = random.Random("escape-oracle")
+    done = 0
+    while done < 150:
+        a, b = rng.randint(2, 5), rng.randint(2, 5)
+        values = [Fraction(k, d) for k in range(-12, 13) for d in (1, 2, 3, 5)]
+        xv, yv = rng.sample(values, a), rng.sample(values, b)
+        if len(set(xv)) < a or len(set(yv)) < b:
+            continue
+        pairs = {(k % a, k % b) for k in range(max(a, b))}
+        pairs |= {(rng.randrange(a), rng.randrange(b)) for _ in range(rng.randint(0, a * b))}
+        x = step_sequence((f"x{i}", v) for i, v in enumerate(xv))
+        y = step_sequence((f"y{j}", v) for j, v in enumerate(yv))
+        rel = InfinitudeRelation(x.partition, y.partition, frozenset(pairs))
+        pts = tuple((x.values[i], y.values[j]) for i, j in sorted(rel.pairs))
+        if collinear(PointConfig(pts)):
+            continue
+        done += 1
+        d, count = fraction_search(PointConfig(pts))[2]
+        alpha, beta = normalize_primitive(d.normal)
+        assert escape(x, y, rel, []) == EscapeWitness(alpha, beta, count, (), pts)
+        assert escape(x, y, rel, [count]) is None

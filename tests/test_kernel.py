@@ -39,6 +39,23 @@ def test_rat_coercions():
             rat(flag)
 
 
+def test_rat_zero_denominator_is_a_value_error():
+    for text in ("1/0", "-3/0", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            rat(text)
+
+
+def test_normalize_primitive_zero_vector_raises_zero_direction_error():
+    """Through the public names: a typed LimprofError with its own code,
+    which the CLI reports as exit 2, not as malformed input."""
+    import limprof
+
+    for v in ((0,), (0, 0), (Fraction(0), Fraction(0), Fraction(0))):
+        with pytest.raises(limprof.ZeroDirectionError) as info:
+            limprof.normalize_primitive(v)
+        assert info.value.code == "zero-direction" and info.value.exit_code == 2
+
+
 def test_rat_str_roundtrip():
     for s in ("0", "5", "-3", "2/7", "-11/4"):
         assert rat_str(rat(s)) == s

@@ -462,3 +462,72 @@ def test_h_distinct_count_grows_for_random_params():
         r30 = h_sequence(ds, qs, 30).distinct_count
         r60 = h_sequence(ds, qs, 60).distinct_count
         assert r60 > r30
+
+
+def test_combo_values_match_fraction_powers():
+    """Running integer powers give sum(d * q**j) in Fraction arithmetic for
+    1-3 terms up to j = 300, in any access order."""
+    rng = random.Random("combo-oracle")
+    ratios = sorted({Fraction(a, b) for b in range(2, 13) for a in range(1, b)})
+    for trial in range(12):
+        terms = 1 + trial % 3
+        qs = rng.sample(ratios, terms)
+        ds = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(terms)]
+        want = [sum((d * q**j for d, q in zip(ds, qs)), Fraction(0)) for j in range(301)]
+        h = combo_values(ds, qs)
+        assert h(300) == want[300] and h(7) == want[7]
+        assert [h(j) for j in range(301)] == want
+        assert list(h_sequence(ds, qs, 301).values) == want
+        assert h_sequence(ds, qs, 0).values == ()
+
+
+RICH_RATIOS = [Fraction(1, 2), Fraction(3, 4), Fraction(5, 6), Fraction(1, 10),
+               Fraction(2, 3), Fraction(5, 7)]
+
+
+@pytest.mark.parametrize("q", RICH_RATIOS, ids=str)
+def test_rich_levels_match_per_index_values(q):
+    """Rich levels are integer pairs (p^j a, s^j b) taken without a gcd, so a
+    pair is unreduced when s shares a factor with a or p with b: for
+    q = 1/2 and r = 2/3 the level at j = 1 is (2, 6). levels() still gives
+    the exact values, and every integer level divides to float(value_at(m))."""
+    seq = gen_rich(q)
+    for a, b in ((0, 1), (0, 64), (1000, 3000), (5000, 9001)):
+        triples = list(seq.integer_levels(a, b))
+        assert all(den > 0 and k == 1 for _, den, k in triples)
+        assert len(triples) == b - a
+        assert level_counter(seq.levels(a, b)) == Counter(seq.value_at(m) for m in range(a, b))
+        assert Counter(num / den for num, den, _ in triples) == Counter(
+            float(seq.value_at(m)) for m in range(a, b))
+    if q.denominator % 2 == 0:
+        assert any(math.gcd(num, den) > 1 for num, den, _ in seq.integer_levels(0, 64))
+
+
+def per_index_clusters(seq, n, epsilon):
+    """estimate_clusters from float(value_at(m)) per tail index, with each
+    center the float of the exact Fraction mean of its group's floats."""
+    tail_len = max(1, math.ceil(n * 0.5))
+    counts = Counter(float(seq.value_at(m)) for m in range(n - tail_len, n))
+    tail = sorted(counts)
+    if epsilon is None:
+        sup = max(abs(tail[0]), abs(tail[-1]))
+        epsilon = 1e-6 * sup if sup > 0 else 1e-6
+    groups = [[tail[0]]]
+    for prev, v in zip(tail, tail[1:]):
+        if v - prev > epsilon:
+            groups.append([])
+        groups[-1].append(v)
+    centers = []
+    for g in groups:
+        total = sum(counts[v] for v in g)
+        centers.append((float(sum(Fraction(v) * counts[v] for v in g) / total), total))
+    return tuple(centers), epsilon
+
+
+@pytest.mark.parametrize("q", RICH_RATIOS, ids=str)
+def test_rich_clusters_match_per_index_oracle(q):
+    seq = gen_rich(q)
+    for n in (1, 999, 4099, 1 << 13):
+        for eps in (None, 1e-3, 1e-7):
+            est = estimate_clusters(seq, n, epsilon=eps)
+            assert (est.centers, est.epsilon) == per_index_clusters(seq, n, eps), (n, eps)
