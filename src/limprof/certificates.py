@@ -20,7 +20,8 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 from typing import Mapping
 
 from . import __version__
@@ -45,8 +46,129 @@ from .kernel import RatMatrix, normalize_primitive, rat_str, vec
 from .sequences import InfinitudeRelation, StepSequence, combine
 
 
+_encode_str = json.encoder.encode_basestring
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_str(x: float) -> str:
+    r = float.__repr__(x)
+    return _NONFINITE.get(r, r)
+
+
+# How json writes each scalar type (exact types only; subclasses go to json).
+_SCALARS = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_str,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+_ARRAYS = frozenset((list, tuple))
+
+
+class _Indents(dict):
+    """level -> a newline and the indent of that level."""
+
+    def __missing__(self, level: int) -> str:
+        text = self[level] = "\n" + "  " * level
+        return text
+
+
+class _Unsupported(Exception):
+    """A value the fast walk leaves to json: a non-str key or another type."""
+
+
+def _scalar_strs(values) -> list[str] | None:
+    """The JSON text of each value, or None unless every value is a scalar.
+    One type is encoded over one ``map``: finite floats by ``float.__repr__``,
+    and the other types once per distinct value, so repeated values (sign
+    patterns, counts) share one string."""
+    types = set(map(type, values))
+    if len(types) == 1:
+        (t,) = types
+        if t is float:  # not by distinct value: 0.0 == -0.0
+            strs = list(map(float.__repr__, values))
+            return strs if _NONFINITE.keys().isdisjoint(strs) else list(map(_float_str, values))
+        encoder = _SCALARS.get(t)
+        if encoder is None:
+            return None
+        distinct = set(values)
+        return list(map(dict(zip(distinct, map(encoder, distinct))).__getitem__, values))
+    if types.issubset(_SCALARS):
+        return [_SCALARS[type(x)](x) for x in values]
+    return None
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`` plus
+    a newline, byte for byte.
+
+    With ``indent`` set, json runs its pure-Python encoder. This walk builds
+    the same text with one ``str.join`` per container: a list of scalars is
+    encoded over one ``map`` per type, and a list of equal-length scalar rows
+    (a matrix, a list of pairs) column by column. On anything but str-keyed
+    dicts, lists, tuples, str, int, float, bool and None (exact types), or on
+    a cycle, it returns json's own result (or raises json's exception) for
+    the whole object."""
+    indent = _Indents()
+
+    def encode(o, level: int) -> str:
+        t = type(o)
+        if t is dict:
+            return encode_dict(o, level)
+        if t in _ARRAYS:
+            return encode_list(o, level)
+        scalar = _SCALARS.get(t)
+        if scalar is None:
+            raise _Unsupported
+        return scalar(o)
+
+    def encode_dict(d: dict, level: int) -> str:
+        if not d:
+            return "{}"
+        if not all(type(k) is str for k in d):
+            raise _Unsupported
+        inner = level + 1
+        body = ("," + indent[inner]).join(
+            [_encode_str(k) + ": " + encode(d[k], inner) for k in sorted(d)])
+        return "{" + indent[inner] + body + indent[level] + "}"
+
+    def encode_rows(rows, level: int) -> str | None:
+        """The items of a list of equal-length, nonempty lists or tuples of
+        scalars, encoded column by column; None for any other list."""
+        if not _ARRAYS.issuperset(map(type, rows)):
+            return None
+        widths = set(map(len, rows))
+        if len(widths) != 1 or not rows[0]:
+            return None
+        columns = []
+        for j in range(widths.pop()):
+            strs = _scalar_strs(list(map(itemgetter(j), rows)))
+            if strs is None:
+                return None
+            columns.append(strs)
+        row_sep = indent[level] + "]," + indent[level] + "["
+        cells = ("," + indent[level + 1]).join
+        return ("[" + indent[level + 1]
+                + (row_sep + indent[level + 1]).join(map(cells, zip(*columns)))
+                + indent[level] + "]")
+
+    def encode_list(items, level: int) -> str:
+        if not items:
+            return "[]"
+        inner = level + 1
+        strs = _scalar_strs(items)
+        if strs is not None:
+            body = ("," + indent[inner]).join(strs)
+        else:
+            body = (encode_rows(items, inner)
+                    or ("," + indent[inner]).join([encode(x, inner) for x in items]))
+        return "[" + indent[inner] + body + indent[level] + "]"
+
+    try:
+        return encode(obj, 0) + "\n"
+    except (_Unsupported, RecursionError):
+        return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 @dataclass(frozen=True)
@@ -167,8 +289,9 @@ def _independent(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     k, split = int(params["k"]), int(params["split"])
     fam = independent_family(k, split)
     signs = (0, 1) if split == 2 else (-1, 0, 1)
+    universe = list(range(len(fam.atoms)))
     pieces_partition = all(
-        sorted(i for s in signs for i in fam.piece(g, s)) == list(range(len(fam.atoms)))
+        sorted(chain.from_iterable(fam.piece(g, s) for s in signs)) == universe
         for g in range(k)
     )
     hits = Counter(fam.atoms)

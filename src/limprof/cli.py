@@ -11,6 +11,7 @@ an explicit --seed, which only ever feeds sampled profiling.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -316,9 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="CSV prefix and cluster estimate")
     s.add_argument("--gen", required=True, choices=["fq", "combo", "rich", "spaceable"])
-    s.add_argument("--q", type=_rat_list, default=[])
-    s.add_argument("--d", type=_rat_list, default=[])
-    s.add_argument("--alpha", type=_rat_list, default=[rat(1)])
+    # Immutable defaults: main reuses one parser, so a default must not
+    # carry a change from one call into the next.
+    s.add_argument("--q", type=_rat_list, default=())
+    s.add_argument("--d", type=_rat_list, default=())
+    s.add_argument("--alpha", type=_rat_list, default=(rat(1),))
     s.add_argument("--n-max", type=int, default=3, dest="n_max")
     s.add_argument("--k-max", type=int, default=8, dest="k_max")
     s.add_argument("--flavor", default="dyadic", choices=["dyadic", "rational-dense"])
@@ -338,9 +341,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call to main (not at
+    import), then reused: building it costs about as much as a small job."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except LimprofError as exc:

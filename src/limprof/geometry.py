@@ -53,9 +53,6 @@ class Direction:
         """Functional constant exactly on lines parallel to this direction."""
         return (Fraction(self.b), Fraction(-self.a))
 
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class PointConfig:

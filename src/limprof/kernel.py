@@ -35,7 +35,8 @@ _ZERO = Fraction(0)
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction.
+    Strings with an exponent ('1e5') are refused with ValueError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -43,6 +44,10 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction reads exponents, and "1e100000000" would build a
+        # 10^(10^8) integer before any cap could refuse it.
+        if "e" in x or "E" in x:
+            raise ValueError(f"exponent notation in {x!r}; write 'p/q' or an integer")
         try:
             return Fraction(x)
         except ZeroDivisionError:

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from limprof.builders import (
+    IndependentFamily,
     _acceptance_test,
     _partitions_into,
     generic_vectors,
@@ -21,7 +22,7 @@ from limprof.engine import (
     profile,
     refute_interval,
 )
-from limprof.errors import TooLargeError
+from limprof.errors import ShapeError, TooLargeError
 from limprof.kernel import RatMatrix, integer_tuples, rank_of_vectors, vec
 from limprof.sequences import combine
 from profile_oracle import profile_by_patterns, set_partitions
@@ -209,6 +210,26 @@ def test_independent_family_examples():
             assert len(hits) == 1
     fam = independent_family(2, split=3)
     assert len(fam.atoms) == 9
+
+
+def scan_piece(fam, generator, sign):
+    """The oracle: rescan every atom for one (generator, sign) pair."""
+    return tuple(i for i, a in enumerate(fam.atoms) if a[generator] == sign)
+
+
+def test_indexed_pieces_match_the_atom_scan():
+    families = [independent_family(k, split) for k in range(1, 7) for split in (2, 3)]
+    # Atom tables no builder makes: unsorted, repeated, and with values
+    # outside every split's signs.
+    families += [IndependentFamily(2, 3, ((1, 0), (-1, 5), (1, 0), (0, -1), (7, 5))),
+                 IndependentFamily(1, 2, ((0,),)),
+                 IndependentFamily(3, 2, ())]
+    for fam in families:
+        for g in range(fam.k):
+            for sign in (-1, 0, 1, 2, 5, 7):
+                assert fam.piece(g, sign) == scan_piece(fam, g, sign), (fam, g, sign)
+        with pytest.raises(ShapeError):
+            fam.piece(fam.k, 0)
 
 
 def test_nonconvergent_span():

@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from limprof import certificates
 from limprof.certificates import (
@@ -19,6 +23,7 @@ from limprof.certificates import (
 )
 from limprof.errors import LimprofError
 from limprof.kernel import RatMatrix
+from limprof.lab import estimate_clusters, gen_rich
 from limprof.sequences import InfinitudeRelation, step_sequence
 
 
@@ -173,6 +178,93 @@ def test_canonical_json_is_stable():
     two = canonical_json(json.loads(one))
     assert one == two
     assert one.endswith("\n")
+
+
+def oracle_json(obj) -> str:
+    """The stdlib encoding that canonical_json reproduces byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def oracle_outcome(encode, obj):
+    try:
+        return "text", encode(obj)
+    except Exception as exc:  # the oracle's exception type is the contract
+        return "raises", type(exc)
+
+
+class Label(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "😀", "\ud800", "a\"b\nc", ""])
+FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 5e-324, 1e16, 1.7976931348623157e308])
+INTS = st.integers() | st.integers(min_value=2**64, max_value=2**200) | st.integers(
+    min_value=-(2**200), max_value=-(2**64))
+SCALARS = TEXT | INTS | FLOATS | st.booleans() | st.none()
+# Lists of equal-length scalar rows: matrices and lists of pairs.
+ROWS = st.integers(1, 4).flatmap(lambda w: st.lists(
+    st.lists(SCALARS, min_size=w, max_size=w) | st.tuples(*[SCALARS] * w), min_size=1, max_size=6))
+VALUES = st.recursive(
+    SCALARS | ROWS,
+    lambda inner: (st.lists(inner, max_size=5) | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=30,
+)
+# Values json accepts or refuses in its own way: non-str keys (some
+# mixed, which json cannot sort), subclasses of str and int, a Fraction.
+ODD_KEYS = st.integers() | FLOATS | st.booleans() | st.none() | st.builds(Label, TEXT)
+ODD_LEAVES = (st.builds(Fraction, st.integers(), st.integers(1, 9))
+              | st.builds(Label, TEXT) | st.builds(Count, INTS))
+ODD_VALUES = st.recursive(
+    SCALARS | ODD_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(ODD_KEYS | TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@given(VALUES)
+@example([0.0, -0.0, 0.0])  # equal floats with different text
+@example({"rows": [[-0.0, 1], [0.0, 1], [math.nan, True]], "mixed": [1, True, 1.0, None]})
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_matches_the_stdlib_encoder(obj):
+    assert canonical_json(obj) == oracle_json(obj)
+
+
+@given(ODD_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_canonical_json_leaves_other_values_to_the_stdlib(obj):
+    assert oracle_outcome(canonical_json, obj) == oracle_outcome(oracle_json, obj)
+
+
+def test_canonical_json_on_cycles_and_deep_nesting():
+    cycle: list = []
+    cycle.append(cycle)
+    for obj in (cycle, {"a": cycle}):
+        assert oracle_outcome(canonical_json, obj) == ("raises", ValueError)
+    deep: list = []
+    for i in range(150):
+        deep = [deep, {"k": i}] if i % 2 else {"k": deep}
+    assert canonical_json(deep) == oracle_json(deep)
+    for _ in range(5000):
+        deep = [deep]
+    assert oracle_outcome(canonical_json, deep) == oracle_outcome(oracle_json, deep)
+
+
+def test_canonical_json_reencodes_golden_files_and_cluster_estimates():
+    golden = Path(__file__).parent / "data" / "golden"
+    for path in sorted(golden.iterdir()):
+        text = path.read_text(encoding="utf-8")
+        assert canonical_json(json.loads(text)) == text, path.name
+    # centers are [float, int] pairs; epsilon and tail are floats
+    payload = estimate_clusters(gen_rich(Fraction(7, 9)), 1 << 12).to_json()
+    assert canonical_json(payload) == oracle_json(payload)
 
 
 def test_certificate_dumps_deterministic():

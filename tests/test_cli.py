@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -473,3 +474,75 @@ def test_escape_rejects_malformed_pair_json(pair_path, data):
     assert code in (2, 3), (kind, pair, out)
     assert out == "" and "Traceback" not in err
     assert json.loads(err)["error"]
+
+
+def run_in_process(argv):
+    """Exit code, stdout and stderr of one ``cli.main`` call, argparse's
+    own exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_exponent_notation_exits_2_at_once(tmp_path):
+    """Fraction would read "1e100000000" as a 10^(10^8) integer; a flag, a
+    matrix entry and a pair value holding it are malformed input."""
+    huge = "1e100000000"
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"entries": [["1", huge, "0"], ["0", "1", "2"]]}))
+    pair = json.loads(json.dumps(VALID_PAIR))
+    pair["y"]["values"][1] = huge
+    pair_path = tmp_path / "pair.json"
+    pair_path.write_text(json.dumps(pair))
+    for argv in (["sample", "--gen", "fq", "--q", huge, "--len", "8"],
+                 ["profile", str(matrix)],
+                 ["escape", str(pair_path), "--forbidden", "1,2"]):
+        start = time.perf_counter()
+        code, out, err = run_in_process(argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
+        assert huge in err
+
+
+# Subcommands and flags mixed; the second call leaves out the --alpha the
+# first one set, and the fourth is malformed (argparse exits 2).
+REUSE_CALLS = [
+    ["sample", "--gen", "spaceable", "--alpha", "2,3", "--len", "64", "--clusters", "c1.json"],
+    ["sample", "--gen", "spaceable", "--len", "64", "--clusters", "c2.json"],
+    ["construct", "odd", "--k", "2", "--out", "odd.json"],
+    ["construct", "odd", "--k", "two"],
+    ["sample", "--gen", "combo", "--q", "1/2", "--len", "64"],
+    ["sample", "--gen", "spaceable", "--alpha", "2,3", "--len", "64", "--clusters", "c1.json"],
+]
+
+
+def test_one_parser_serves_every_call_of_a_process(tmp_path, monkeypatch):
+    """main reuses one parser; each call's exit code, stdout, stderr and
+    files equal those of a parser built fresh for that call."""
+    assert cli._parser() is cli._parser()
+    runs = {}
+    for mode in ("shared", "fresh"):
+        workdir = tmp_path / mode
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        if mode == "fresh":
+            monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        outputs = [run_in_process(argv) for argv in REUSE_CALLS]
+        files = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        runs[mode] = outputs, files
+    assert runs["shared"] == runs["fresh"]
+    outputs, files = runs["shared"]
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 2, 2, 0]
+    assert outputs[0] == outputs[-1] and outputs[0][1] != outputs[1][1]
+    assert sorted(files) == ["c1.json", "c2.json", "odd.cert.json", "odd.json"]
+
+
+def test_parser_is_built_on_first_use_not_at_import():
+    code = ("import limprof.cli as cli; print(cli._parser.cache_info().currsize); "
+            "cli._parser(); print(cli._parser.cache_info().currsize)")
+    p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert p.returncode == 0 and p.stdout.split() == ["0", "1"], p.stderr

@@ -202,13 +202,13 @@ def test_approx_census_matches_exact_square():
 
 def fraction_search(cfg):
     """The Fraction search this module ran before integer points: one
-    direction_of per point pair, sorted by Direction.key, and classes
+    direction_of per point pair, sorted by (a, b), and classes
     counted as the distinct b*x + na*y with (b, na) the direction's normal.
     Returns the sorted directions, each one's class count, and the first
     direction with the maximal count."""
     pts = cfg.points
     dirs = sorted({direction_of(q[0] - p[0], q[1] - p[1])
-                   for i, p in enumerate(pts) for q in pts[i + 1:]}, key=Direction.key)
+                   for i, p in enumerate(pts) for q in pts[i + 1:]}, key=lambda d: (d.a, d.b))
     counts = []
     for d in dirs:
         b, na = d.normal

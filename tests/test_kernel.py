@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,17 @@ def test_rat_zero_denominator_is_a_value_error():
     for text in ("1/0", "-3/0", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             rat(text)
+
+
+def test_rat_refuses_exponent_notation_at_once():
+    """Fraction reads "1e100000000" as a 10^(10^8) integer; rat refuses
+    any exponent before Fraction sees it, and keeps the documented forms."""
+    start = time.perf_counter()
+    for text in ("1e100000000", "1E100000000", "-2e-5", "1.5e3", "3/4e2", "1e1000000"):
+        with pytest.raises(ValueError, match="exponent"):
+            rat(text)
+    assert time.perf_counter() - start < 1.0
+    assert rat("-2") == -2 and rat("3/4") == Fraction(3, 4) and rat(" 7/9 ") == Fraction(7, 9)
 
 
 def test_normalize_primitive_zero_vector_raises_zero_direction_error():
