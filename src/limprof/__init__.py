@@ -37,14 +37,12 @@ from .certificates import (
 )
 from .engine import (
     MultiplicityProfile,
-    NestingVerdict,
     RefutationWitness,
     collapse,
     matrix_from_json,
     matrix_to_json,
     merge_columns,
     multiplicity,
-    nesting_check,
     profile,
     refute_interval,
     sample_profile,
@@ -124,10 +122,9 @@ __all__ = [
     "Atom", "InfinitudeRelation", "StepSequence", "SymbolicPartition",
     "canonicalize", "combine", "step_sequence",
     # engine
-    "MultiplicityProfile", "NestingVerdict", "RefutationWitness", "collapse",
-    "matrix_from_json", "matrix_to_json", "merge_columns", "multiplicity",
-    "nesting_check", "profile", "refute_interval", "sample_profile",
-    "separation_radius",
+    "MultiplicityProfile", "RefutationWitness", "collapse", "matrix_from_json",
+    "matrix_to_json", "merge_columns", "multiplicity", "profile",
+    "refute_interval", "sample_profile", "separation_radius",
     # geometry
     "Direction", "EscapeWitness", "PointConfig", "approx_direction_census",
     "approx_regular_polygon", "collinear", "direction_classes", "escape",

@@ -19,9 +19,8 @@ from .errors import InternalError, ShapeError, TooLargeError
 from .kernel import (
     RatMatrix,
     Vec,
-    integer_multiple,
+    integer_nullspace,
     integer_tuples,
-    nullspace,
     rank_of_vectors,
     vec,
 )
@@ -76,7 +75,7 @@ def _partitions_into(k: int, blocks: int, prefix=(0,)) -> Iterator[tuple[int, ..
 
 def _hyperplane_values(
     prefix: list[tuple[int, ...]], d: int
-) -> list[tuple[list[int], set[int]]]:
+) -> list[tuple[tuple[int, ...], set[int]]]:
     """One (normal, values) pair per partition Q of ``prefix`` into
     len(prefix) - d blocks: the integer normal of the hyperplane spanned by
     Q's d within-block differences, and the values it takes on the prefix."""
@@ -90,10 +89,10 @@ def _hyperplane_values(
                 diffs.append([x - y for x, y in zip(p, leads[b])])
             else:
                 leads[b] = p
-        basis = nullspace(RatMatrix.from_rows(diffs))
+        basis = integer_nullspace(diffs)
         if len(basis) != 1:
             raise InternalError("generic_vectors: prefix lost general position")
-        normal = integer_multiple(basis[0])
+        normal = basis[0]
         out.append((normal, {sum(map(mul, normal, p)) for p in prefix}))
     return out
 

@@ -43,12 +43,31 @@ from .lab import estimate_clusters, gen_combo, gen_fq, gen_rich, gen_spaceable
 from .sequences import pair_from_json
 
 
+def _parsed_list(parse, text: str) -> list:
+    """Comma-separated values read by ``parse``; a value it refuses is
+    reported with its reason, as argparse reports a bad flag."""
+    try:
+        return [parse(part.strip()) for part in text.split(",") if part.strip()]
+    except (TypeError, ValueError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _rat_list(text: str) -> list[Fraction]:
-    return [rat(part.strip()) for part in text.split(",") if part.strip()]
+    return _parsed_list(rat, text)
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part.strip()) for part in text.split(",") if part.strip()]
+    return _parsed_list(int, text)
+
+
+def _read_json(path: str):
+    """The JSON value in the file ``path``; nesting too deep for the parser
+    is malformed input (ValueError), like any other JSON error."""
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -123,7 +142,7 @@ def _random_directions(rows: int, seed: int, count: int = 32):
 
 
 def cmd_profile(args) -> int:
-    data = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
+    data = _read_json(args.matrix)
     mat = matrix_from_json(data)
     result: dict = {"rows": mat.rows, "columns": mat.cols}
     merged, groups = merge_columns(mat)
@@ -154,7 +173,7 @@ def cmd_profile(args) -> int:
 
 
 def cmd_refute(args) -> int:
-    data = json.loads(Path(args.matrix).read_text(encoding="utf-8"))
+    data = _read_json(args.matrix)
     mat = matrix_from_json(data)
     cert = build_refute_certificate(mat, args.n, args.d)
     _emit_certificate(cert, args.cert)
@@ -175,8 +194,8 @@ def cmd_refute(args) -> int:
 
 
 def cmd_escape(args) -> int:
-    x, y, rel = pair_from_json(json.loads(Path(args.pair).read_text(encoding="utf-8")))
-    forbidden = _int_list(args.forbidden)
+    x, y, rel = pair_from_json(_read_json(args.pair))
+    forbidden = args.forbidden
     cert = build_escape_certificate(x, y, rel, forbidden)
     if cert is None:
         print(json.dumps(
@@ -254,7 +273,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = json.loads(Path(args.certificate).read_text(encoding="utf-8"))
+    data = _read_json(args.certificate)
     cert = Certificate.from_json(data)
     ok, mismatches = verify_certificate(cert)
     if ok:
@@ -311,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("escape", help="combination count outside a forbidden set")
     e.add_argument("pair", help="JSON file with x, y, relation")
-    e.add_argument("--forbidden", required=True, help="comma-separated counts")
+    e.add_argument("--forbidden", type=_int_list, required=True,
+                   help="comma-separated counts")
     e.add_argument("--cert", default=None)
     e.set_defaults(func=cmd_escape)
 

@@ -15,6 +15,14 @@ projection equals a block leader's is forced into that block; joining another
 block cuts the flat by one hyperplane (one integer elimination step); a
 prefix is dropped once two leaders' projections coincide. The complete
 strings are exactly the coincidence patterns that some a != 0 realizes.
+
+The witness search and ``multiplicity`` also run on the integer columns of
+``_integer_columns`` (M times one common denominator): a pattern's witness
+comes from integer column differences, ``integer_nullspace`` and an integer
+``generic_point``, and only the primitive witness becomes Fractions;
+``multiplicity`` counts the values of an integer multiple of a on them. A
+common positive multiplier changes no coincidence, so every witness and
+count equals the rational one.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import mul, sub
 from typing import Container, Iterator, Mapping, Sequence
 
 from .errors import (
@@ -40,6 +49,8 @@ from .kernel import (
     Vec,
     dot,
     generic_point,
+    integer_multiple,
+    integer_nullspace,
     integer_tuples,
     is_zero_vec,
     normalize_primitive,
@@ -66,12 +77,16 @@ def matrix_to_json(m: RatMatrix) -> dict:
 
 
 def matrix_from_json(data: Mapping) -> RatMatrix:
+    """The matrix of ``matrix_to_json``: "entries" a list of row lists, and
+    "rows" and "cols", when present, the integer counts of those rows and
+    columns."""
     entries = data["entries"]
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ShapeError("entries must be a list of rows, each a list of rationals")
     mat = RatMatrix.from_rows(entries)
-    if "rows" in data and int(data["rows"]) != mat.rows:
-        raise ShapeError("declared row count does not match entries")
-    if "cols" in data and int(data["cols"]) != mat.cols:
-        raise ShapeError("declared column count does not match entries")
+    for key, size in (("rows", mat.rows), ("cols", mat.cols)):
+        if key in data and (type(data[key]) is not int or data[key] != size):
+            raise ShapeError(f"declared {key} {data[key]!r} does not match the entries")
     return mat
 
 
@@ -90,13 +105,16 @@ def merge_columns(m: RatMatrix) -> tuple[RatMatrix, tuple[tuple[int, ...], ...]]
 
 
 def multiplicity(m: RatMatrix, alpha: Sequence) -> int:
-    """Number of distinct entries of alpha^T M; alpha must be nonzero."""
-    a = vec(alpha)
+    """Number of distinct entries of alpha^T M; alpha must be nonzero.
+
+    Counted on integer multiples of alpha and of M's columns, which scale
+    every entry by one positive constant."""
+    a = integer_multiple(vec(alpha))
     if len(a) != m.rows:
         raise ShapeError("alpha length must equal the row count")
-    if is_zero_vec(a):
+    if not any(a):
         raise ZeroDirectionError("alpha must be nonzero")
-    return len(set(m.left_mul_vec(a)))
+    return len({sum(map(mul, a, c)) for c in _integer_columns(m)})
 
 
 def _integer_columns(m: RatMatrix) -> list[tuple[int, ...]]:
@@ -105,9 +123,8 @@ def _integer_columns(m: RatMatrix) -> list[tuple[int, ...]]:
     A common multiplier keeps every column difference a nonzero multiple of
     the rational one, so nullspaces and vanishing tests are unchanged."""
     mult = lcm(*(x.denominator for row in m.entries for x in row))
-    return [
-        tuple(x.numerator * (mult // x.denominator) for x in col) for col in m.columns()
-    ]
+    return list(zip(*([x.numerator * (mult // x.denominator) for x in row]
+                      for row in m.entries)))
 
 
 def _feasible_blocks(
@@ -119,14 +136,16 @@ def _feasible_blocks(
 
     Within-block equalities define a linear subspace; a deterministic generic
     point of it separates the blocks, unless some cross-block difference
-    vanishes on all of it (generic_point raises UnavoidableError).
+    vanishes on all of it (generic_point raises UnavoidableError). The
+    search runs on integer differences and an integer basis, and only the
+    primitive witness becomes Fractions.
     """
     rows = len(cols[0])
-    def diff(i: int, j: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a - b) for a, b in zip(cols[i], cols[j]))
+    def diff(i: int, j: int) -> tuple[int, ...]:
+        return tuple(map(sub, cols[i], cols[j]))
     constraints = [diff(j, block[0]) for block in blocks for j in block[1:]]
     # with no equalities, a zero row gives the standard basis
-    basis = nullspace(RatMatrix(tuple(constraints or [(Fraction(0),) * rows])))
+    basis = integer_nullspace(constraints or [(0,) * rows])
     if not basis:
         return None  # only alpha = 0 satisfies the equalities
     leaders = [block[0] for block in blocks]
@@ -134,7 +153,7 @@ def _feasible_blocks(
     if not cross:
         return normalize_primitive(basis[0])
     try:
-        alpha = generic_point(AffineSubspace((Fraction(0),) * rows, basis), cross)
+        alpha = generic_point(AffineSubspace((0,) * rows, tuple(basis)), cross)
     except UnavoidableError:
         return None  # the pattern forces two blocks to coincide
     return normalize_primitive(alpha)
@@ -228,18 +247,15 @@ class MultiplicityProfile:
             },
         }
 
-    @classmethod
-    def from_json(cls, data: Mapping) -> "MultiplicityProfile":
-        achieved = tuple(int(k) for k in data["achieved"])
-        witnesses = {int(k): vec(w) for k, w in data["witnesses"].items()}
-        return cls(achieved, witnesses)
 
-
-def _require_canonical(m: RatMatrix) -> None:
-    if len(set(m.columns())) != m.cols:
+def _canonical_columns(m: RatMatrix) -> list[tuple[int, ...]]:
+    """``_integer_columns(m)``, which must be pairwise distinct."""
+    cols = _integer_columns(m)
+    if len(set(cols)) != len(cols):
         raise DuplicateColumnsError(
             "duplicate columns; merge_columns() first (values on merged atoms agree)"
         )
+    return cols
 
 
 def profile(m: RatMatrix) -> MultiplicityProfile:
@@ -254,13 +270,12 @@ def profile(m: RatMatrix) -> MultiplicityProfile:
     census earlier versions ran there (golden odd-2 pins them). Those walks
     are small and unpruned: a proper two-row flat is a line.
     """
-    _require_canonical(m)
     if m.cols > PROFILE_CAP:
         raise TooLargeError(
             f"{m.cols} columns exceeds the profile cap {PROFILE_CAP}; "
             "`limprof profile --sample` (sample_profile) gives an under-approximation"
         )
-    cols = _integer_columns(m)
+    cols = _canonical_columns(m)
     by_pair = m.rows <= 2
     chosen: dict[int, tuple[int, ...]] = {}
     for rgs in _patterns(cols, () if by_pair else chosen):
@@ -280,7 +295,7 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
     """Under-approximation of the profile by scanning an integer grid of
     coefficient rows (max-norm shells up to ``max_norm``) plus any ``extra``
     rows. Sampling can only miss counts, never invent them."""
-    _require_canonical(m)
+    _canonical_columns(m)
     witnesses: dict[int, Vec] = {}
     for a in chain(integer_tuples(m.rows, max_shell=max_norm), extra):
         a = vec(a)
@@ -346,10 +361,10 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
         raise ShapeError("need n >= 2 and d >= 0")
     if m.rows < d + 2:
         raise TooFewRowsError(f"need at least d+2 = {d + 2} rows, got {m.rows}")
-    _require_canonical(m)
+    int_cols = _canonical_columns(m)
     if m.cols > n + d:
         singletons = [(j,) for j in range(m.cols)]
-        alpha = _feasible_blocks(_integer_columns(m), singletons)
+        alpha = _feasible_blocks(int_cols, singletons)
         if alpha is None:
             raise InternalError("distinct columns admit no separating direction")
     else:
@@ -369,25 +384,7 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
 
 
 # ---------------------------------------------------------------------------
-# relation nesting and separation
-
-
-@dataclass(frozen=True)
-class NestingVerdict:
-    nested: bool
-    violations: tuple[tuple[int, tuple[int, ...]], ...]
-
-
-def nesting_check(rel) -> NestingVerdict:
-    """Nested means the pairs form a function right -> left: every right atom
-    meets exactly one left atom infinitely (containment mod finite sets)."""
-    byright: dict[int, list[int]] = {}
-    for i, j in rel.pairs:
-        byright.setdefault(j, []).append(i)
-    violations = tuple(
-        (j, tuple(sorted(ls))) for j, ls in sorted(byright.items()) if len(ls) > 1
-    )
-    return NestingVerdict(not violations, violations)
+# separation
 
 
 def separation_radius(x: StepSequence) -> Fraction | None:

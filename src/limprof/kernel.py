@@ -1,11 +1,24 @@
 """Exact rational linear algebra with deterministic pivoting and point search.
 
-Inputs and outputs are ``fractions.Fraction`` (canonical p/q, reduced,
-positive denominator), so every result here is exact and reproducible bit
-for bit. Inside, elimination and the point search run on Python ints: each
-row (or vector) is scaled once by the lcm of its denominators, which changes
-neither the pivots, the reduced row echelon form nor which functionals
-vanish, and only the entries a caller reads are turned back into Fractions.
+Inputs are rationals: ints or ``fractions.Fraction`` (canonical p/q,
+reduced, positive denominator). Results are Fractions, so every result is
+exact and reproducible bit for bit, except where an integer variant says
+otherwise. Inside, elimination and the point search run on Python ints:
+each row (or vector) is scaled once by the lcm of its denominators, which
+changes neither the pivots, the reduced row echelon form nor which
+functionals vanish, and only the entries a caller reads are turned back
+into Fractions.
+
+Integer variants, for callers that already hold integer rows:
+
+* ``integer_nullspace`` returns ``nullspace``'s standard basis times one
+  common positive multiplier, the least that makes every entry an integer,
+  as int tuples; ``nullspace`` and ``solve_affine`` divide the same integer
+  basis by that multiplier. A common positive multiplier changes no
+  vanishing test and no sign.
+* ``generic_point`` returns ints when the point and the basis of its space
+  are ints, and Fractions otherwise; the search and the accepted tuple are
+  the same either way.
 
 Determinism contracts:
 
@@ -196,18 +209,36 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
     return piv_cols
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of rational rows; returns (matrix, pivot columns).
+def _basis(rows: list[list[int]], pivots: list[int], n: int) -> tuple[list[tuple[int, ...]], int]:
+    """Standard nullspace basis of the first ``n`` columns of rows that
+    ``_eliminate`` returned ``pivots`` for, times its least common positive
+    multiplier ``mult``, which is returned too.
 
-    The elimination runs on integer multiples of the rows (``_eliminate``);
-    Fractions are built for the pivot rows only, the rest are zero.
+    The basis vector of free column f is e_f minus, at each pivot column p,
+    the reduced row's entry in column f; row i's entries in the free columns
+    over its pivot entry need the multiplier |pivot| / gcd(row's pivot and
+    free entries).
     """
-    ints = [integer_multiple(r) for r in rows]
-    pivots = _eliminate(ints)
-    red = [[Fraction(x, row[pc]) if x else _ZERO for x in row]
-           for row, pc in zip(ints, pivots)]
-    red += [[_ZERO] * len(row) for row in ints[len(pivots):]]
-    return red, pivots
+    free = [c for c in range(n) if c not in pivots]
+    mult = lcm(*(abs(row[pc]) // gcd(row[pc], *(row[c] for c in free))
+                 for row, pc in zip(rows, pivots)))
+    basis = []
+    for fc in free:
+        v = [0] * n
+        v[fc] = mult
+        for row, pc in zip(rows, pivots):
+            if row[fc]:
+                v[pc] = -row[fc] * mult // row[pc]
+        basis.append(tuple(v))
+    return basis, mult
+
+
+def integer_nullspace(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """``nullspace`` of integer rows (at least one) as ints: the same
+    standard basis times one common positive multiplier, the least that
+    makes every entry an integer."""
+    work = [list(r) for r in rows]
+    return _basis(work, _eliminate(work), len(work[0]))[0]
 
 
 def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
@@ -251,22 +282,19 @@ def solve_affine(a: RatMatrix, b: Sequence[Fraction]) -> AffineSubspace | None:
     if len(b) != a.rows:
         raise ShapeError(f"solve_affine: got {len(b)} rhs entries for {a.rows} rows")
     n = a.cols
-    aug = [list(r) + [rat(x)] for r, x in zip(a.entries, b)]
-    red, pivots = _rref(aug)
+    rows = [integer_multiple((*r, rat(x))) for r, x in zip(a.entries, b)]
+    pivots = _eliminate(rows)
     if n in pivots:
         return None
-    point = [Fraction(0)] * n
-    for i, pc in enumerate(pivots):
-        point[pc] = red[i][n]
-    free_cols = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free_cols:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][fc]
-        basis.append(tuple(v))
-    return AffineSubspace(tuple(point), tuple(basis))
+    point = [_ZERO] * n
+    for row, pc in zip(rows, pivots):
+        if row[n]:
+            point[pc] = Fraction(row[n], row[pc])
+    basis, mult = _basis(rows, pivots, n)
+    return AffineSubspace(
+        tuple(point),
+        tuple(tuple(Fraction(x, mult) if x else _ZERO for x in v) for v in basis),
+    )
 
 
 def nullspace(a: RatMatrix) -> tuple[Vec, ...]:
@@ -311,23 +339,30 @@ def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = (
 
     ``avoid`` holds linear functionals on the ambient space, each required to
     be nonzero at the returned point. A functional identically zero on the
-    whole subspace can never be avoided: that raises UnavoidableError.
+    whole subspace can never be avoided: that raises UnavoidableError. When
+    the point and the basis of ``space`` are ints, so is the result.
     """
-    # One common multiplier for the point and the basis, one per functional:
-    # each value below is a nonzero integer multiple of the rational one.
-    mult = lcm(*(x.denominator for v in (space.point, *space.basis) for x in v))
-    point, *basis = (
-        [x.numerator * (mult // x.denominator) for x in v]
-        for v in (space.point, *space.basis)
-    )
+    vs = (space.point, *space.basis)
+    ints = all(type(x) is int for v in vs for x in v)
+    if ints:
+        point, *basis = vs
+    else:
+        # One common multiplier for the point and the basis, one per
+        # functional: each value below is a nonzero integer multiple of the
+        # rational one.
+        mult = lcm(*(x.denominator for v in vs for x in v))
+        point, *basis = ([x.numerator * (mult // x.denominator) for x in v] for v in vs)
+    centred = not any(point)
+    int_avoid = all(type(x) is int for f in avoid for x in f)
     dim = space.dim
     due: list[list] = [[] for _ in range(dim + 1)]  # by last nonzero coefficient
     for f in avoid:
-        if len(f) != len(space.point):
+        if len(f) != len(point):
             raise ShapeError("generic_point: functional has wrong length")
-        f = integer_multiple(f)
-        c0 = sum(a * b for a, b in zip(f, point))
-        cs = [sum(a * b for a, b in zip(f, v)) for v in basis]
+        if not int_avoid:
+            f = integer_multiple(f)
+        c0 = 0 if centred else sum(map(mul, f, point))
+        cs = [sum(map(mul, f, v)) for v in basis]
         last = max((q + 1 for q, c in enumerate(cs) if c), default=0)
         if c0 == 0 and not last:
             raise UnavoidableError("functional vanishes identically on the search space")
@@ -349,24 +384,22 @@ def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = (
 
     for s in range(1001):  # the shells of integer_tuples
         if extend(0, s, s == 0):
-            return space.parameter_point(t)
+            if not ints:
+                return space.parameter_point(t)
+            out = tuple(point)
+            for x, v in zip(t, basis):
+                if x:
+                    out = tuple(a + x * b for a, b in zip(out, v))
+            return out
     raise InternalError("generic_point: exhausted search shells")
 
 
 def normalize_primitive(v: Sequence[Fraction]) -> Vec:
     """Scale a nonzero rational vector to integer entries, gcd 1, first nonzero positive."""
-    v = vec(v)
-    if is_zero_vec(v):
+    ints = v if all(type(x) is int for x in v) else integer_multiple(vec(v))
+    g = gcd(*ints)
+    if not g:
         raise ZeroDirectionError("cannot normalize the zero vector")
-    mult = lcm(*(x.denominator for x in v)) if len(v) > 1 else v[0].denominator
-    ints = [int(x * mult) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return tuple(Fraction(x) for x in ints)
+    if next(x for x in ints if x) < 0:
+        g = -g
+    return tuple(Fraction(x // g) for x in ints)

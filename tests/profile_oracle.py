@@ -1,10 +1,14 @@
 """Reference implementations of the multiplicity profile, for tests only.
 
 These are the two algorithms ``limprof.engine.profile`` replaced, kept as
-slow exact oracles:
+slow exact oracles, and the Fraction witness search they share:
 
+- ``feasible_blocks`` is the engine's ``_feasible_blocks`` as it once was:
+  column differences, the nullspace and the point search in Fractions.
+  It reaches the kernel through this module's ``nullspace`` and
+  ``generic_point``, so a test may swap in ``kernel_oracle``'s.
 - ``profile_by_patterns`` enumerates every set partition of the columns
-  (Bell(N) of them) and decides each with ``_feasible_blocks``; the witness
+  (Bell(N) of them) and decides each with ``feasible_blocks``; the witness
   of a count is the lexicographically first feasible restricted growth
   string with that many blocks.
 - ``profile_by_census`` (at most two rows) scans the column pairs: every
@@ -17,17 +21,50 @@ once did, so its output must equal ``profile``'s, witnesses included.
 """
 
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, Mapping, Sequence
 
-from limprof.engine import (
-    MultiplicityProfile,
-    _feasible_blocks,
-    _integer_columns,
-    multiplicity,
+from limprof.engine import MultiplicityProfile, multiplicity
+from limprof.errors import UnavoidableError
+from limprof.kernel import (
+    AffineSubspace,
+    RatMatrix,
+    Vec,
+    generic_point,
+    normalize_primitive,
+    nullspace,
+    vec,
 )
-from limprof.kernel import RatMatrix, Vec, normalize_primitive
 
 BELL_LIMIT = 8
+
+
+def feasible_blocks(cols: Sequence[Vec], blocks: Sequence[Sequence[int]]) -> Vec | None:
+    """Witness alpha != 0 whose coincidence pattern on the rational columns
+    ``cols`` is exactly ``blocks``, or None when no such alpha exists."""
+    rows = len(cols[0])
+
+    def diff(i: int, j: int) -> Vec:
+        return tuple(Fraction(a - b) for a, b in zip(cols[i], cols[j]))
+    constraints = [diff(j, block[0]) for block in blocks for j in block[1:]]
+    basis = nullspace(RatMatrix(tuple(constraints or [(Fraction(0),) * rows])))
+    if not basis:
+        return None
+    leaders = [block[0] for block in blocks]
+    cross = [diff(s, t) for i, s in enumerate(leaders) for t in leaders[i + 1:]]
+    if not cross:
+        return normalize_primitive(basis[0])
+    try:
+        alpha = generic_point(AffineSubspace((Fraction(0),) * rows, basis), cross)
+    except UnavoidableError:
+        return None
+    return normalize_primitive(alpha)
+
+
+def profile_from_json(data: Mapping) -> MultiplicityProfile:
+    """Inverse of ``MultiplicityProfile.to_json``."""
+    achieved = tuple(int(k) for k in data["achieved"])
+    witnesses = {int(k): vec(w) for k, w in data["witnesses"].items()}
+    return MultiplicityProfile(achieved, witnesses)
 
 
 def set_partitions(n: int) -> Iterator[tuple[int, ...]]:
@@ -55,7 +92,7 @@ def profile_by_patterns(m: RatMatrix) -> MultiplicityProfile:
     if m.cols > BELL_LIMIT:
         raise ValueError(f"Bell enumeration oracle is for N <= {BELL_LIMIT}")
     witnesses: dict[int, Vec] = {}
-    cols = _integer_columns(m)
+    cols = m.columns()
     for assignment in set_partitions(m.cols):
         b = max(assignment) + 1
         if b in witnesses:
@@ -64,7 +101,7 @@ def profile_by_patterns(m: RatMatrix) -> MultiplicityProfile:
         for col, blk in enumerate(assignment):
             byblock.setdefault(blk, []).append(col)
         blocks = sorted((tuple(v) for v in byblock.values()), key=lambda x: x[0])
-        w = _feasible_blocks(cols, blocks)
+        w = feasible_blocks(cols, blocks)
         if w is not None:
             witnesses[b] = w
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
@@ -88,7 +125,7 @@ def profile_by_census(m: RatMatrix) -> MultiplicityProfile:
                 witnesses[mu] = alpha
     if n not in witnesses:
         singletons = [(j,) for j in range(n)]
-        witnesses[n] = _feasible_blocks(_integer_columns(m), singletons)
+        witnesses[n] = feasible_blocks(cols, singletons)
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
 
 

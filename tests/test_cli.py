@@ -546,3 +546,111 @@ def test_parser_is_built_on_first_use_not_at_import():
             "cli._parser(); print(cli._parser.cache_info().currsize)")
     p = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert p.returncode == 0 and p.stdout.split() == ["0", "1"], p.stderr
+
+
+@pytest.mark.parametrize("flag, value, reason", [
+    ("--q", "1e5", "exponent notation"),
+    ("--q", "1/0", "zero denominator"),
+])
+def test_bad_list_value_exits_2_with_its_reason(flag, value, reason):
+    """A list flag names the value and why it was refused, not the private
+    function that read it."""
+    code, out, err = run_in_process(["sample", "--gen", "fq", flag, value, "--len", "8"])
+    assert code == 2 and out == ""
+    assert f"argument {flag}: {reason} in '{value}'" in err
+    assert "_list" not in err and "Traceback" not in err
+
+
+def test_bad_forbidden_count_exits_2_with_its_reason(pair_path):
+    pair_path.write_text(json.dumps(VALID_PAIR), encoding="utf-8")
+    code, out, err = run_in_process(["escape", str(pair_path), "--forbidden", "1,x"])
+    assert code == 2 and out == ""
+    assert "argument --forbidden: invalid literal for int()" in err
+    assert "_list" not in err and "Traceback" not in err
+
+
+# A well-formed matrix; every malformed one below differs from it in one
+# place, or is not a JSON object, or is not JSON.
+VALID_MATRIX = {"rows": 2, "cols": 3, "entries": [["0", "1", "-2/3"], [4, "1/2", "3"]]}
+MATRIX_COMMANDS = [["profile"], ["refute", "--n", "2", "--d", "0"]]
+
+
+@st.composite
+def malformed_matrix_text(draw):
+    mat = json.loads(json.dumps(VALID_MATRIX))
+    kind = draw(st.sampled_from(["not json", "deep nesting", "not an object",
+                                 "missing entries", "entries type", "row type",
+                                 "non-rational", "count type", "count value",
+                                 "ragged", "empty"]))
+    if kind == "not json":
+        text = json.dumps(mat)
+        return kind, draw(st.just(text[:draw(st.integers(0, len(text) - 1))])
+                          | st.text(max_size=12).filter(_not_json))
+    if kind == "deep nesting":
+        depth = draw(st.integers(1, 100_000))
+        return kind, "[" * depth + "]" * depth
+    if kind == "not an object":
+        mat = draw(ANY_JSON.filter(lambda v: not isinstance(v, dict)))
+    elif kind == "missing entries":
+        del mat["entries"]
+    elif kind == "entries type":
+        mat["entries"] = draw(ANY_JSON.filter(lambda v: not isinstance(v, list))
+                              | st.sampled_from(["0123", {"12": 3, "45": 6}]))
+    elif kind == "row type":
+        mat["entries"][draw(st.integers(0, 1))] = draw(
+            ANY_JSON.filter(lambda v: not isinstance(v, list)) | st.just("123"))
+    elif kind == "non-rational":
+        row = mat["entries"][draw(st.integers(0, 1))]
+        row[draw(st.integers(0, 2))] = draw(
+            NON_RATIONAL | ANY_JSON.filter(lambda v: not isinstance(v, (int, str))
+                                           or isinstance(v, bool)))
+    elif kind == "count type":
+        key = draw(st.sampled_from(["rows", "cols"]))
+        mat[key] = draw(ANY_JSON.filter(lambda v: type(v) is not int)
+                        | st.sampled_from([str(mat[key]), float(mat[key]), 1e400]))
+    elif kind == "count value":
+        key = draw(st.sampled_from(["rows", "cols"]))
+        mat[key] = draw(st.integers().filter(lambda n: n != mat[key]))
+    elif kind == "ragged":
+        row = mat["entries"][draw(st.integers(0, 1))]
+        if draw(st.booleans()):
+            row.append(draw(st.sampled_from(["5", 6, "7/8"])))
+        else:
+            row.pop()
+    else:
+        mat["entries"] = draw(st.sampled_from([[], [[]], [[], []]]))
+    return kind, json.dumps(mat)
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+@pytest.fixture(scope="module")
+def matrix_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("matrix-fuzz") / "m.json"
+
+
+@pytest.mark.parametrize("command", MATRIX_COMMANDS, ids=["profile", "refute"])
+def test_matrix_commands_accept_the_valid_matrix(matrix_path, command):
+    matrix_path.write_text(json.dumps(VALID_MATRIX), encoding="utf-8")
+    code, out, err = run_in_process([command[0], str(matrix_path), *command[1:]])
+    assert code == 0 and err == "" and out
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_matrix_commands_reject_malformed_json(matrix_path, data):
+    """Malformed matrix JSON exits 2 or 3 from profile and from refute, with
+    one JSON error line on stderr, never a traceback and never an answer."""
+    kind, text = data.draw(malformed_matrix_text())
+    matrix_path.write_text(text, encoding="utf-8")
+    for command in MATRIX_COMMANDS:
+        code, out, err = run_in_process([command[0], str(matrix_path), *command[1:]])
+        assert code in (2, 3), (kind, text[:200], command, out)
+        assert out == "" and "Traceback" not in err
+        assert json.loads(err)["error"]

@@ -1,4 +1,5 @@
 import random
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from limprof.engine import (
     matrix_to_json,
     merge_columns,
     multiplicity,
-    nesting_check,
     profile,
     refute_interval,
     sample_profile,
@@ -27,15 +27,15 @@ from limprof.errors import (
     ZeroDirectionError,
 )
 from limprof.kernel import RatMatrix, vec
-from limprof.sequences import (
-    InfinitudeRelation,
-    SymbolicPartition,
-    combine,
-    step_sequence,
-)
+from limprof.sequences import InfinitudeRelation, combine, step_sequence
+
+import profile_oracle as oracle
+from kernel_oracle import generic_point_oracle, nullspace_oracle
 from profile_oracle import (
+    feasible_blocks,
     profile_by_census,
     profile_by_patterns,
+    profile_from_json,
     profile_oracle,
     set_partitions,
 )
@@ -104,9 +104,7 @@ def test_profile_cap():
 
 def test_profile_json_roundtrip():
     prof = profile(M23)
-    from limprof.engine import MultiplicityProfile
-
-    again = MultiplicityProfile.from_json(prof.to_json())
+    again = profile_from_json(prof.to_json())
     assert again.achieved == prof.achieved
     assert again.witnesses == prof.witnesses
 
@@ -170,24 +168,6 @@ def test_refute_examples():
 def test_refute_too_few_rows():
     with pytest.raises(TooFewRowsError):
         refute_interval(M23, 2, 1)  # needs d+2 = 3 rows, has 2
-
-
-def test_nesting_check():
-    left = SymbolicPartition.from_ids(["S1", "S2"])
-    right = SymbolicPartition.from_ids(["T1", "T2", "T3"])
-    nested = InfinitudeRelation(left, right, frozenset({(0, 0), (0, 1), (1, 2)}))
-    verdict = nesting_check(nested)
-    assert verdict.nested and not verdict.violations
-    two_left = SymbolicPartition.from_ids(["S1", "S2"])
-    one_right = SymbolicPartition.from_ids(["T1"])
-    overlap = InfinitudeRelation(two_left, one_right, frozenset({(0, 0), (1, 0)}))
-    verdict = nesting_check(overlap)
-    assert not verdict.nested
-    assert verdict.violations == ((0, (0, 1)),)  # right atom 0 meets both lefts
-    full = InfinitudeRelation.full(left, right)
-    verdict = nesting_check(full)
-    assert not verdict.nested
-    assert {v[0] for v in verdict.violations} == {0, 1, 2}
 
 
 def test_separation_radius():
@@ -282,12 +262,19 @@ def test_sample_profile_is_lower_bound():
         assert m.cols in sampled.achieved  # generic direction always sampled
 
 
-def test_pattern_witnesses_match_fraction_oracle(monkeypatch):
-    """Integer elimination must reproduce every witness of Fraction elimination."""
-    from test_kernel import rref_oracle
+@contextmanager
+def fraction_kernel():
+    """The oracles' nullspace and point search on Fraction elimination and
+    a plain walk over ``integer_tuples``, sharing no code with the kernel's."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "nullspace", nullspace_oracle)
+        mp.setattr(oracle, "generic_point", generic_point_oracle)
+        yield
 
-    from limprof import kernel
 
+def test_pattern_witnesses_match_fraction_oracle():
+    """The integer witness search must reproduce every witness of the
+    Fraction oracles on rational matrices."""
     rng = random.Random(15)
     entries = [Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 5)]
     matrices = []
@@ -296,8 +283,39 @@ def test_pattern_witnesses_match_fraction_oracle(monkeypatch):
         cols = sorted({tuple(rng.choice(entries) for _ in range(rows)) for _ in range(n_cols)})
         matrices.append(RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)]))
     fast = [profile(m) for m in matrices]
-    monkeypatch.setattr(kernel, "_rref", rref_oracle)
-    assert [profile(m) for m in matrices] == fast
+    with fraction_kernel():
+        assert [profile_oracle(m) for m in matrices] == fast
+
+
+@st.composite
+def matrices_and_blocks(draw):
+    """An integer or rational matrix with 1-4 rows and 1-7 columns, repeated
+    columns allowed, and a random partition of its columns into blocks,
+    each block in increasing order and the blocks by first column."""
+    rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    entry = st.integers(-3, 3) if draw(st.booleans()) else st.fractions(
+        min_value=-3, max_value=3, max_denominator=4)
+    m = RatMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                                          min_size=rows, max_size=rows)))
+    labels = draw(st.lists(st.integers(0, n_cols - 1), min_size=n_cols, max_size=n_cols))
+    blocks: dict[int, list[int]] = {}
+    for j, b in enumerate(labels):
+        blocks.setdefault(b, []).append(j)
+    return m, list(blocks.values())
+
+
+@given(matrices_and_blocks())
+@settings(max_examples=150, deadline=None)
+def test_feasible_blocks_matches_fraction_oracle(case):
+    """Same witness, or None for the same infeasible partitions."""
+    m, blocks = case
+    fast = _feasible_blocks(_integer_columns(m), blocks)
+    with fraction_kernel():
+        assert fast == feasible_blocks(m.columns(), blocks)
+    if fast is not None:
+        values = m.left_mul_vec(fast)
+        assert all(len({values[j] for j in b}) == 1 for b in blocks)
+        assert len({values[b[0]] for b in blocks}) == len(blocks)
 
 
 def _random_matrix(rng, rows, n_cols, values):

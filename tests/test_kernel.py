@@ -1,19 +1,26 @@
 import random
 import time
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from limprof import kernel
-from limprof.errors import InternalError, ShapeError, UnavoidableError
+from kernel_oracle import (
+    generic_point_oracle,
+    nullspace_oracle,
+    rref_oracle,
+    solve_affine_oracle,
+)
+from limprof.errors import ShapeError, UnavoidableError
 from limprof.kernel import (
     AffineSubspace,
     RatMatrix,
-    _rref,
-    dot,
+    _eliminate,
     generic_point,
+    integer_multiple,
+    integer_nullspace,
     integer_tuples,
     normalize_primitive,
     nullspace,
@@ -208,56 +215,7 @@ def test_normalize_primitive_properties(v):
 
 
 # ---------------------------------------------------------------------------
-# slow oracles: elimination and point search in Fraction arithmetic
-
-
-def rref_oracle(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form by Gauss-Jordan on Fractions, in place.
-
-    The same first-usable-pivot rule as the kernel: scan columns left to
-    right, take the first row (top to bottom) with a nonzero entry.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    piv_cols: list[int] = []
-    pr = 0
-    for c in range(n):
-        sel = None
-        for r in range(pr, m):
-            if rows[r][c] != 0:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[pr], rows[sel] = rows[sel], rows[pr]
-        inv = rows[pr][c]
-        rows[pr] = [x / inv for x in rows[pr]]
-        for r in range(m):
-            if r != pr and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pr])]
-        piv_cols.append(c)
-        pr += 1
-        if pr == m:
-            break
-    return rows, piv_cols
-
-
-def generic_point_oracle(space: AffineSubspace, avoid) -> tuple[Fraction, ...]:
-    """First tuple of ``integer_tuples`` whose point avoids every functional,
-    with every value computed in Fractions."""
-    reduced = []
-    for f in avoid:
-        c0 = dot(f, space.point)
-        cs = tuple(dot(f, b) for b in space.basis)
-        if c0 == 0 and all(c == 0 for c in cs):
-            raise UnavoidableError("functional vanishes identically")
-        reduced.append((c0, cs))
-    for t in integer_tuples(space.dim):
-        if all(c0 + sum((Fraction(x) * c for x, c in zip(t, cs)), Fraction(0)) != 0
-               for c0, cs in reduced):
-            return space.parameter_point(t)
-    raise InternalError("exhausted search shells")
+# the kernel against the Fraction oracles of kernel_oracle.py
 
 
 @st.composite
@@ -283,10 +241,13 @@ EDGE_MATRICES = [
 ]
 
 
-def _with_oracle(fn, *args):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(kernel, "_rref", rref_oracle)
-        return fn(*args)
+def reduced_form(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """The reduced row echelon form that ``_eliminate``'s integer rows stand
+    for: row i over its pivot entry, then zero rows."""
+    ints = [integer_multiple(r) for r in rows]
+    pivots = _eliminate(ints)
+    red = [[Fraction(x, row[pc]) for x in row] for row, pc in zip(ints, pivots)]
+    return red + [[Fraction(0)] * len(r) for r in ints[len(pivots):]], pivots
 
 
 def _edge_examples(test):
@@ -300,7 +261,7 @@ def _edge_examples(test):
 @settings(max_examples=150, deadline=None)
 def test_rref_matches_fraction_oracle(rows):
     expected = rref_oracle([list(r) for r in rows])
-    assert _rref([list(r) for r in rows]) == expected
+    assert reduced_form(rows) == expected
     assert RatMatrix.from_rows(rows).rank() == len(expected[1])
     assert rank_of_vectors(rows) == len(expected[1])
 
@@ -310,8 +271,8 @@ def test_rref_matches_fraction_oracle(rows):
 @settings(max_examples=100, deadline=None)
 def test_nullspace_matches_fraction_oracle(rows):
     a = RatMatrix.from_rows(rows)
-    assert nullspace(a) == _with_oracle(nullspace, a)
-    assert nullspace(a.transpose()) == _with_oracle(nullspace, a.transpose())
+    assert nullspace(a) == nullspace_oracle(a)
+    assert nullspace(a.transpose()) == nullspace_oracle(a.transpose())
 
 
 @given(rational_matrices(), st.lists(rationals, min_size=5, max_size=5), st.booleans())
@@ -319,7 +280,7 @@ def test_nullspace_matches_fraction_oracle(rows):
 def test_solve_affine_matches_fraction_oracle(rows, x, consistent):
     a = RatMatrix.from_rows(rows)
     b = a.mul_vec(x[: a.cols]) if consistent else tuple(x[: a.rows])
-    assert solve_affine(a, b) == _with_oracle(solve_affine, a, b)
+    assert solve_affine(a, b) == solve_affine_oracle(a, b)
 
 
 @given(rational_matrices(max_cols=4), st.data())
@@ -366,3 +327,51 @@ def test_generic_point_sparse_functionals_match_fraction_oracle():
         assert generic_point(space, avoid) == expected, (space, avoid)
         shells.add(max((abs(x) for x in expected), default=0))
     assert {2, 3} <= shells
+
+
+@st.composite
+def integer_or_rational_matrices(draw):
+    """1-4 rows and 1-7 columns, integer or rational entries, zero rows
+    included (``rational_matrices`` with integer entries half the time)."""
+    rows = draw(rational_matrices(max_rows=4, max_cols=7))
+    if draw(st.booleans()):
+        rows = [[Fraction(round(x)) for x in r] for r in rows]
+    return rows
+
+
+@_edge_examples
+@given(integer_or_rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_integer_nullspace_is_least_common_multiple_of_nullspace(rows):
+    a = RatMatrix.from_rows(rows)
+    basis = nullspace(a)
+    assert basis == nullspace_oracle(a)
+    ints = integer_nullspace([integer_multiple(r) for r in rows])
+    assert len(ints) == len(basis)
+    assert all(type(x) is int for v in ints for x in v)
+    if basis:
+        mult = lcm(*(x.denominator for v in basis for x in v))
+        assert ints == [tuple(x * mult for x in v) for v in basis]
+
+
+@given(integer_or_rational_matrices(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_generic_point_of_ints_equals_generic_point_of_fractions(rows, data):
+    """Integer point, basis and functionals give the Fraction inputs' point,
+    as ints; an unavoidable functional raises on both."""
+    ints = integer_nullspace([integer_multiple(r) for r in rows])
+    start = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows[0]),
+                               max_size=len(rows[0])))
+    avoid = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=len(start),
+                                        max_size=len(start)), max_size=6))
+    int_space = AffineSubspace(tuple(start), tuple(ints))
+    frac_space = AffineSubspace(vec(start), tuple(vec(v) for v in ints))
+    try:
+        expected = generic_point(frac_space, [vec(f) for f in avoid])
+    except UnavoidableError:
+        with pytest.raises(UnavoidableError):
+            generic_point(int_space, avoid)
+        return
+    got = generic_point(int_space, avoid)
+    assert got == expected and all(type(x) is int for x in got)
+    assert all(type(x) is Fraction for x in expected)
