@@ -88,7 +88,6 @@ from .kernel import (
     vec,
 )
 from .lab import (
-    AtomRealization,
     ClusterEstimate,
     HSequenceReport,
     PrefixSequence,
@@ -100,9 +99,8 @@ from .lab import (
     gen_rich,
     gen_spaceable,
     h_sequence,
-    realize_atoms,
 )
-from .rationals import calkin_wilf, first_unit_rationals, unit_rationals
+from .rationals import first_unit_rationals, unit_rationals
 from .sequences import (
     Atom,
     InfinitudeRelation,
@@ -130,16 +128,16 @@ __all__ = [
     "approx_regular_polygon", "collinear", "direction_classes", "escape",
     "pair_directions", "pinchasi_search",
     # rationals
-    "calkin_wilf", "first_unit_rationals", "unit_rationals",
+    "first_unit_rationals", "unit_rationals",
     # builders
     "GenericVectorFamily", "IndependentFamily", "PolygonSpace",
     "SpaceableFamily", "generic_vectors", "independent_family",
     "interval_space", "nonconvergent_span", "odd_space", "polygon_space",
     "spaceable_rows", "value_ladder",
     # lab
-    "AtomRealization", "ClusterEstimate", "HSequenceReport", "PrefixSequence",
-    "cantor_unpair", "combo_values", "estimate_clusters", "gen_combo",
-    "gen_fq", "gen_rich", "gen_spaceable", "h_sequence", "realize_atoms",
+    "ClusterEstimate", "HSequenceReport", "PrefixSequence", "cantor_unpair",
+    "combo_values", "estimate_clusters", "gen_combo", "gen_fq", "gen_rich",
+    "gen_spaceable", "h_sequence",
     # certificates
     "Certificate", "build_escape_certificate", "build_independent_certificate",
     "build_interval_certificate", "build_odd_certificate",

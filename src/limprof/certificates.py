@@ -1,17 +1,18 @@
 """Self-contained, re-verifiable certificates.
 
 A certificate embeds its inputs by value, the witnesses found, and a
-verification transcript. Verification rebuilds witnesses and transcript from
+verification transcript. Verification rebuilds the whole certificate from
 the embedded data alone with the same deterministic code paths, then demands
-bit-for-bit equality of the canonical JSON. No timestamps, no environment.
+equality of the JSON, key by key. No timestamps, no environment.
 
 ``CLAIMS`` maps each claim name to its payload, a function of the
 certificate's own JSON ``params`` and ``inputs`` that returns the witnesses
-and the verification transcript (or None when no witness exists). Building
-a certificate makes the inputs, then runs the payload on them; verifying
-runs the same payload on the stored params and inputs and diffs the result
-against what is stored. Construct and verify therefore run one code path on
-one set of data.
+and the verification transcript (or None when no witness exists), and to
+readers of those params and inputs. Building a certificate makes the
+inputs, then runs the payload on them; verifying reads the stored params
+and inputs back into the JSON construct writes, runs the same payload on
+them and diffs the rebuilt certificate against what is stored. Construct
+and verify therefore run one code path on one set of data.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .engine import (
     profile,
     refute_interval,
 )
-from .errors import LimprofError
+from .errors import LimprofError, ShapeError
 from .geometry import approx_direction_census, escape
 from .kernel import RatMatrix, normalize_primitive, rat_str, vec
 from .sequences import InfinitudeRelation, StepSequence, combine
@@ -197,15 +198,14 @@ class Certificate:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "Certificate":
-        return cls(
-            claim=str(data["claim"]),
-            mode=str(data["mode"]),
-            params=dict(data["params"]),
-            inputs=dict(data["inputs"]),
-            witnesses=dict(data["witnesses"]),
-            verification=dict(data["verification"]),
-            tool_version=str(data.get("toolVersion", __version__)),
-        )
+        """The certificate of a JSON object: claim and mode strings, params,
+        inputs, witnesses and verification objects, and toolVersion (this
+        version when absent). Other keys are left to verify_certificate."""
+        data = _object(data)
+        fields = [read(data[key]) for key, read in (
+            ("claim", _str), ("mode", _str), ("params", _object), ("inputs", _object),
+            ("witnesses", _object), ("verification", _object))]
+        return cls(*fields, tool_version=str(data.get("toolVersion", __version__)))
 
     @property
     def holds(self) -> bool:
@@ -368,14 +368,48 @@ def _escape(params: Mapping, inputs: Mapping) -> tuple[dict, dict] | None:
     return witnesses, verification
 
 
+# Readers of stored params and inputs: each takes a JSON value, raises on a
+# malformed one, and returns the JSON construct would store for that data.
+
+
+def _json_typed(kind: type):
+    def read(value):
+        if type(value) is not kind:
+            raise ShapeError(f"expected {kind.__name__}, got {value!r}")
+        return value
+
+    return read
+
+
+_int, _str, _float, _list, _object = map(_json_typed, (int, str, float, list, dict))
+
+_READ_MATRIX = {"matrix": lambda v: matrix_to_json(matrix_from_json(_object(v)))}
+_READ_VERTICES = {"vertices": lambda v: [[_float(x), _float(y)] for x, y in map(_list, _list(v))],
+                  "tolerance": _float}
+_READ_PAIR = {"x": lambda v: StepSequence.from_json(v).to_json(),
+              "y": lambda v: StepSequence.from_json(v).to_json(),
+              "relation": lambda v: InfinitudeRelation.from_json(v).to_json()}
+
+
+def _mode(modes: Mapping, inputs: Mapping) -> str:
+    """The first mode all of whose input keys are present, else the first."""
+    return next((mode for mode, keys in modes.items() if keys.keys() <= inputs.keys()),
+                next(iter(modes)))
+
+
+# claim -> (payload, readers of its params, readers of its inputs per mode;
+# polygon: a matrix is exact, vertices approximate)
 CLAIMS = {
-    "interval-profile": _interval,
-    "odd-profile": _odd,
-    "polygon-profile": _polygon,
-    "independent-family": _independent,
-    "spaceable-rows": _spaceable,
-    "refute-interval": _refute,
-    "escape": _escape,
+    "interval-profile": (_interval, {"n": _int, "d": _int}, {"exact": _READ_MATRIX}),
+    "odd-profile": (_odd, {"k": _int}, {"exact": _READ_MATRIX}),
+    "polygon-profile": (_polygon, {"n": _int},
+                        {"exact": _READ_MATRIX, "approximate": _READ_VERTICES}),
+    "independent-family": (_independent, {"k": _int, "split": _int}, {"exact": {}}),
+    "spaceable-rows": (_spaceable, {"nMax": _int, "kMax": _int, "flavor": _str},
+                       {"exact": {}}),
+    "refute-interval": (_refute, {"n": _int, "d": _int}, {"exact": _READ_MATRIX}),
+    "escape": (_escape, {"forbidden": lambda v: sorted(set(map(_int, _list(v))))},
+               {"exact": _READ_PAIR}),
 }
 
 
@@ -383,12 +417,13 @@ CLAIMS = {
 # builders: make the inputs, then run the claim's payload on them
 
 
-def _certify(claim: str, params: dict, inputs: dict, mode: str = "exact") -> Certificate | None:
-    payload = CLAIMS[claim](params, inputs)
+def _certify(claim: str, params: dict, inputs: dict) -> Certificate | None:
+    run, _, modes = CLAIMS[claim]
+    payload = run(params, inputs)
     if payload is None:
         return None
     witnesses, verification = payload
-    return Certificate(claim, mode, params, inputs, witnesses, verification)
+    return Certificate(claim, _mode(modes, inputs), params, inputs, witnesses, verification)
 
 
 def build_interval_certificate(n: int, d: int) -> Certificate:
@@ -407,7 +442,7 @@ def build_polygon_certificate(n: int) -> Certificate:
     else:
         inputs = {"vertices": [[p[0], p[1]] for p in poly.vertices],
                   "tolerance": poly.tolerance}
-    return _certify("polygon-profile", {"n": n}, inputs, poly.mode)
+    return _certify("polygon-profile", {"n": n}, inputs)
 
 
 def build_independent_certificate(k: int, split: int = 2) -> Certificate:
@@ -434,26 +469,38 @@ def build_escape_certificate(x: StepSequence, y: StepSequence,
 
 
 def _diff_paths(a, b, prefix: str, out: list[str], limit: int = 8) -> None:
+    """Lines naming the JSON paths where a and b differ, values of different
+    JSON types included (1 and 1.0, 1 and true, "1" and 1)."""
     if len(out) >= limit:
         return
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            _diff_paths(a.get(key), b.get(key), f"{prefix}.{key}", out, limit)
+            _diff_paths(a.get(key), b.get(key), f"{prefix}.{key}" if prefix else key, out, limit)
         return
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for i, (x, y) in enumerate(zip(a, b)):
             _diff_paths(x, y, f"{prefix}[{i}]", out, limit)
         return
-    if a != b:
+    if type(a) is not type(b) or a != b:
         out.append(f"{prefix}: stored {a!r} != recomputed {b!r}")
 
 
-def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
-    """Recompute witnesses and transcript from the embedded data; report
-    every difference from what the certificate stored. Also fails when the
-    stored transcript itself concludes the claim is false. A certificate
-    written by another limprof version, or for an unknown claim, raises
-    LimprofError: this version cannot vouch for its payload."""
+def _read(readers: Mapping, stored: Mapping, where: str) -> dict:
+    missing = sorted(readers.keys() - stored.keys())
+    if missing:
+        raise ShapeError(f"{where} lacks {', '.join(missing)}")
+    return {key: read(stored[key]) for key, read in readers.items()}
+
+
+def verify_certificate(cert: Certificate, stored: Mapping | None = None) -> tuple[bool, list[str]]:
+    """Rebuild the certificate as construct writes it from the stored params
+    and inputs (mode, params, inputs, witnesses, transcript) and report
+    every JSON path where ``stored``, the JSON object the certificate was
+    read from (default cert.to_json()), differs, extra keys included; one
+    without toolVersion is read as this version. Also fails when the
+    recomputed transcript concludes the claim is false. Another limprof
+    version or an unknown claim raises LimprofError, and malformed params
+    or inputs ShapeError."""
     if cert.tool_version != __version__:
         raise LimprofError(
             f"certificate written by limprof {cert.tool_version!r}, "
@@ -461,19 +508,26 @@ def verify_certificate(cert: Certificate) -> tuple[bool, list[str]]:
         )
     if cert.claim not in CLAIMS:
         raise LimprofError(f"unknown claim {cert.claim!r}")
-    payload = CLAIMS[cert.claim](cert.params, cert.inputs)
+    run, param_readers, modes = CLAIMS[cert.claim]
+    mode = _mode(modes, cert.inputs)
+    params = _read(param_readers, cert.params, "params")
+    inputs = _read(modes[mode], cert.inputs, "inputs")
+    payload = run(params, inputs)
     if payload is None:
         return False, [f"{cert.claim}: no witness found on recomputation"]
     witnesses, verification = payload
+    stored = cert.to_json() if stored is None else stored
+    rebuilt = Certificate(cert.claim, mode, params, inputs, witnesses, verification).to_json()
+    if "toolVersion" not in stored:
+        del rebuilt["toolVersion"]
+    rebuilt_text = json.dumps(rebuilt, sort_keys=True)
     mismatches: list[str] = []
-    _diff_paths(cert.witnesses, _roundtrip(witnesses), "witnesses", mismatches)
-    _diff_paths(cert.verification, _roundtrip(verification), "verification", mismatches)
+    try:  # equal text means equal JSON, types included: no walk needed
+        same = json.dumps(stored, sort_keys=True) == rebuilt_text
+    except (TypeError, ValueError):  # not JSON, so not what construct writes
+        same = False
+    if not same:
+        _diff_paths(stored, json.loads(rebuilt_text), "", mismatches)
     if not verification.get("pass", False):
         mismatches.append("verification.pass: claim checks failed on recomputation")
     return not mismatches, mismatches
-
-
-def _roundtrip(obj):
-    """Push recomputed data through JSON so comparisons see exactly what a
-    stored certificate would contain (tuples become lists, etc.)."""
-    return json.loads(json.dumps(obj))

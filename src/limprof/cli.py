@@ -232,10 +232,10 @@ def _build_generator(args):
 
 
 # Largest --len for the sample paths that visit every index: --gen rich
-# and any --csv. At this length `sample --gen rich --q 7/9 --csv` took
-# 2.4 s with interpreter start and 77 MB (Python 3.11, 2 CPUs); at 2^20
-# it took 9.2 s and 154 MB. fq, combo and spaceable estimates without
-# --csv read about log2(--len) levels and are not capped.
+# and any --csv. At this length `sample --gen rich --q 7/9 --csv` takes
+# about 2.0 s with interpreter start and 70 MB (Python 3.11, 2 CPUs); at
+# 2^20, before the cap, it took 9.2 s and 154 MB. fq, combo and spaceable
+# estimates without --csv read about log2(--len) blocks and are not capped.
 SAMPLE_CAP = 1 << 18
 
 
@@ -275,7 +275,7 @@ def cmd_sample(args) -> int:
 def cmd_verify(args) -> int:
     data = _read_json(args.certificate)
     cert = Certificate.from_json(data)
-    ok, mismatches = verify_certificate(cert)
+    ok, mismatches = verify_certificate(cert, data)
     if ok:
         print(json.dumps({"verified": True, "claim": cert.claim}, sort_keys=True))
         return 0

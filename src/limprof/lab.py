@@ -16,15 +16,24 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat
-from typing import Callable, Iterable, Sequence
+from itertools import compress, count, repeat
+from operator import add, attrgetter, le, sub, truediv
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .builders import value_ladder
 from .errors import DegenerateError, EmptyInputError, RangeError, ShapeError
 from .kernel import rat
-from .rationals import unit_rational_pairs
+from .rationals import UnitRationalTable
+from .sequences import exact_keys
+
+# (numerators, denominators, multiplicity): the values numerators[i] /
+# denominators[i], each taken multiplicity times.
+Block = tuple[Iterable[int], Iterable[int], int]
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def _atom(m: int) -> int:
@@ -48,88 +57,44 @@ def cantor_unpair(z: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class AtomRealization:
-    """A partition of the naturals into infinitely many infinite atoms.
-
-    dyadic-valuation: index m belongs to atom nu_2(m+1); atom j is the set
-    {2^j * (2i+1) - 1 : i >= 0}. pairing: the dyadic atom index is unpaired
-    into a double label (n, k), so doubly-indexed families get one infinite
-    atom per label."""
-
-    scheme: str
-
-    def label(self, m: int):
-        j = _atom(m)
-        if self.scheme == "dyadic-valuation":
-            return j
-        return cantor_unpair(j)
-
-    def rank(self, m: int) -> int:
-        """Position of m within its atom: m = 2^j(2i+1) - 1 has rank i."""
-        return (m + 1) >> (_atom(m) + 1)
-
-    def members(self, label, count: int) -> list[int]:
-        """First ``count`` indices of the labeled atom, for tests and demos."""
-        if self.scheme == "dyadic-valuation":
-            j = int(label)
-        else:
-            n, k = label
-            j = (n + k) * (n + k + 1) // 2 + k
-        return [(2**j) * (2 * i + 1) - 1 for i in range(count)]
-
-
-def realize_atoms(scheme: str) -> AtomRealization:
-    if scheme not in ("dyadic-valuation", "pairing"):
-        raise ShapeError(f"unknown scheme {scheme!r}")
-    return AtomRealization(scheme)
-
-
-@dataclass(frozen=True)
 class PrefixSequence:
     """Evaluable sequence prefix; value_at is a pure function of the index.
 
-    level_walk(a, b), when given, lists the values over the indices in
-    [a, b) with their multiplicities, as value_at would give them, without
-    visiting each index. It yields (numerator, denominator, multiplicity)
-    int triples; a pair need not be in lowest terms."""
+    blocks(a, b) lists the values over the indices in [a, b) in blocks of
+    ints (numerators, denominators, multiplicity): the values
+    numerators[i] / denominators[i], each taken multiplicity times. The
+    denominators are positive, the multiplicities positive, and a pair need
+    not be in lowest terms. The block walk, when given, is what blocks(a, b)
+    returns for a valid range; the generators walk the dyadic atoms in
+    ascending order, one block per atom the range meets, each atom's indices
+    in rank order. Without a walk there is one block of value_at per index,
+    in index order."""
 
     descriptor: str
     value_at: Callable[[int], Fraction]
-    level_walk: Callable[[int, int], Iterable[tuple[int, int, int]]] | None = None
+    block_walk: Callable[[int, int], Iterable[Block]] | None = None
 
-    def evaluate(self, n: int) -> list[Fraction]:
-        return [self.value_at(m) for m in range(n)]
-
-    def integer_levels(self, a: int, b: int) -> Iterable[tuple[int, int, int]]:
-        """The values over the indices in [a, b) as (numerator, denominator,
-        multiplicity) int triples with positive denominators and positive
-        multiplicities; the multiplicities sum to b - a. A value may appear
-        in more than one triple, and a pair need not be reduced. Without a
-        level walk every index is its own level."""
+    def blocks(self, a: int, b: int) -> Iterable[Block]:
         if not 0 <= a <= b:
             raise RangeError(f"need 0 <= a <= b, got [{a}, {b})")
-        if self.level_walk is None:
-            return ((v.numerator, v.denominator, 1) for v in map(self.value_at, range(a, b)))
-        return self.level_walk(a, b)
-
-    def levels(self, a: int, b: int) -> Iterable[tuple[Fraction, int]]:
-        """The exact values over the indices in [a, b), each paired with a
-        positive multiplicity; the multiplicities sum to b - a. A value may
-        appear in more than one pair."""
-        return ((Fraction(num, den), k) for num, den, k in self.integer_levels(a, b))
+        if self.block_walk is None:
+            values = list(map(self.value_at, range(a, b)))
+            return ((list(map(_numerator, values)), list(map(_denominator, values)), 1),)
+        return self.block_walk(a, b)
 
 
 def _on_dyadic_atoms(descriptor: str, level: Callable[[int], Fraction]) -> PrefixSequence:
-    """The sequence with value level(j) on all of atom j."""
+    """The sequence with value level(j) on all of atom j: one one-value
+    block per atom, its multiplicity the atom's count in the range."""
 
-    def level_walk(a: int, b: int):
+    def block_walk(a: int, b: int):
         for j in range(b.bit_length()):
-            count = _ranks_below(b, j) - _ranks_below(a, j)
-            if count:
+            k = _ranks_below(b, j) - _ranks_below(a, j)
+            if k:
                 v = level(j)
-                yield v.numerator, v.denominator, count
+                yield (v.numerator,), (v.denominator,), k
 
-    return PrefixSequence(descriptor, lambda m: level(_atom(m)), level_walk)
+    return PrefixSequence(descriptor, lambda m: level(_atom(m)), block_walk)
 
 
 def gen_fq(q) -> PrefixSequence:
@@ -188,54 +153,51 @@ class HSequenceReport:
 
     @property
     def distinct_count(self) -> int:
-        return len(set(self.values))
+        return len(set(exact_keys(self.values)))
 
 
 def h_sequence(d: Sequence, q: Sequence, j_count: int) -> HSequenceReport:
     """First j_count exact level values plus a report of repeated values."""
     h = combo_values(d, q)
     values = tuple(h(j) for j in range(j_count))
-    seen: dict[Fraction, list[int]] = {}
-    for j, v in enumerate(values):
-        seen.setdefault(v, []).append(j)
+    seen: dict[tuple[int, int], list[int]] = {}
+    for j, key in enumerate(exact_keys(values)):
+        seen.setdefault(key, []).append(j)
     repeats = tuple(
-        (v, tuple(idx)) for v, idx in seen.items() if len(idx) > 1
+        (values[idx[0]], tuple(idx)) for idx in seen.values() if len(idx) > 1
     )
     return HSequenceReport(values, repeats)
 
 
 def gen_rich(q) -> PrefixSequence:
-    """Value q^j * r_i at the i-th index of atom j, where r is a fixed
-    enumeration of the rationals in (0, 1): every scaled copy q^j * (0,1)
-    fills in densely as the prefix grows. Its levels are the integer pairs
-    (p^j a, s^j b) for q = p/s and r_i = a/b, taken without a gcd."""
+    """Value q^j * r_i at the i-th index of atom j, where r_i = a_i/b_i is
+    the i-th unit rational of the Calkin-Wilf tree: every scaled copy
+    q^j * (0,1) fills in densely as the prefix grows. The table of r grows
+    a tree level at a time, exactly as far as the indices asked for need. The
+    block of atom j holds the integer pairs (p^j a_i, s^j b_i) for q = p/s
+    over the atom's ranks i in the range, taken without a gcd."""
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
     p, s = q.numerator, q.denominator
-    nums: list[int] = []  # r_i = nums[i] / dens[i]
-    dens: list[int] = []
-    pairs = unit_rational_pairs()
-
-    def enumerate_to(count: int) -> None:
-        for a, b in islice(pairs, max(0, count - len(nums))):
-            nums.append(a)
-            dens.append(b)
+    table = UnitRationalTable()
+    nums, dens = table.nums, table.dens  # r_i = nums[i] / dens[i]
 
     def value_at(m: int) -> Fraction:
         j = _atom(m)
         i = (m + 1) >> (j + 1)
-        enumerate_to(i + 1)
+        table.extend_to(i + 1)
         return Fraction(p**j * nums[i], s**j * dens[i])
 
-    def level_walk(lo: int, hi: int):
+    def block_walk(lo: int, hi: int):
         for j in range(hi.bit_length()):
             first, stop = _ranks_below(lo, j), _ranks_below(hi, j)
-            enumerate_to(stop)
-            yield from zip(map((p**j).__mul__, nums[first:stop]),
-                           map((s**j).__mul__, dens[first:stop]), repeat(1))
+            if first < stop:
+                table.extend_to(stop)
+                yield (map((p**j).__mul__, nums[first:stop]),
+                       map((s**j).__mul__, dens[first:stop]), 1)
 
-    return PrefixSequence(f"rich(q={q})", value_at, level_walk)
+    return PrefixSequence(f"rich(q={q})", value_at, block_walk)
 
 
 def gen_spaceable(alpha: Sequence, n_max: int, k_max: int,
@@ -280,18 +242,18 @@ class ClusterEstimate:
         }
 
 
-def _weighted_mean(group: list[float], counts: dict[float, int]) -> tuple[float, int]:
-    """The correctly rounded mean of the floats v, each taken counts[v]
-    times, and the total count. Every float is an integer over a power of
-    two, so the sum is exact over the largest of those denominators. The
-    mean of one value is that value."""
+def _weighted_mean(group: Mapping[float, int]) -> tuple[float, int]:
+    """The correctly rounded mean of the floats v of ``group``, each taken
+    group[v] times, and the total count. Every float is an integer over a
+    power of two, so the sum is exact over the largest of those
+    denominators. The mean of one value is that value."""
     if len(group) == 1:
-        v = group[0]
-        return v, counts[v]
+        (v, k), = group.items()
+        return v, k
     ratios = [v.as_integer_ratio() for v in group]
     den = max(d for _, d in ratios)
-    num = sum(n * (den // d) * counts[v] for v, (n, d) in zip(group, ratios))
-    total = sum(counts[v] for v in group)
+    num = sum(n * (den // d) * k for (n, d), k in zip(ratios, group.values()))
+    total = sum(group.values())
     return num / (den * total), total
 
 
@@ -299,13 +261,14 @@ def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
                       epsilon: float | None = None) -> ClusterEstimate:
     """Merge the tail values of a prefix at radius epsilon.
 
-    The tail's exact levels (x.integer_levels) are tallied by float value,
-    sorted, and split exactly at gaps > epsilon (single linkage), so the
-    outcome is deterministic. A cluster's support is the sum of its
-    multiplicities and its center is the correctly rounded mean of its float
-    values, weighted by multiplicity. Both depend only on the multiset of
-    tail values, not on how x groups them into levels. The default epsilon
-    is 1e-6 relative to the tail's sup value."""
+    The floats of the tail's blocks (x.blocks) are sorted and split exactly
+    at gaps > epsilon (single linkage), so the outcome is deterministic. A
+    cluster's support is the number of tail indices in it and its center is
+    the correctly rounded mean of its values' floats, weighted by
+    multiplicity; a cluster of one float value has that value as its
+    center. Both depend only on the multiset of tail values, not on how x
+    groups them into blocks. The default epsilon is 1e-6 relative to the
+    tail's sup value."""
     if n <= 0:
         raise EmptyInputError("need a nonempty prefix")
     if not 0 < tail_fraction <= 1:
@@ -314,19 +277,42 @@ def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
         raise RangeError("epsilon must be finite and nonnegative")
     tail_len = min(n, max(1, math.ceil(n * tail_fraction)))
     # int true division is correctly rounded, so num / den is the float of
-    # the exact value whether or not the pair is reduced.
-    counts: dict[float, int] = {}
-    for num, den, k in x.integer_levels(n - tail_len, n):
-        f = num / den
-        counts[f] = counts.get(f, 0) + k
-    tail = sorted(counts)
+    # the exact value whether or not the pair is reduced. ``tail`` holds
+    # each block's floats once; ``heavy`` the multiplicity beyond that copy
+    # of the floats of blocks with multiplicity k > 1.
+    tail: list[float] = []
+    heavy: dict[float, int] = {}
+    for nums, dens, k in x.blocks(n - tail_len, n):
+        floats = list(map(truediv, nums, dens))
+        tail += floats
+        if k > 1:
+            for f in floats:
+                heavy[f] = heavy.get(f, 0) + k - 1
+    tail.sort()
     if epsilon is None:
         sup = max(abs(tail[0]), abs(tail[-1]))
         epsilon = 1e-6 * sup if sup > 0 else 1e-6
-    centers = []
+    # Merged runs [lo, hi) of tail positions: tail[i - 1] and tail[i] merge
+    # when their gap is at most epsilon, as equal floats always do. Every
+    # float outside the runs is a cluster of one index, plus its heavy part.
+    runs: list[list[int]] = []
+    for i in compress(count(1), map(le, map(sub, tail[1:], tail), repeat(epsilon))):
+        if runs and runs[-1][1] == i:
+            runs[-1][1] = i + 1
+        else:
+            runs.append([i - 1, i + 1])
+    centers: list[tuple[float, int]] = []
     start = 0
-    for i in range(1, len(tail) + 1):
-        if i == len(tail) or tail[i] - tail[i - 1] > epsilon:
-            centers.append(_weighted_mean(tail[start:i], counts))
-            start = i
+    for lo, hi in runs + [[len(tail), len(tail)]]:
+        singles = tail[start:lo]
+        if heavy:
+            centers += zip(singles, map(add, map(heavy.get, singles, repeat(0)), repeat(1)))
+        else:
+            centers += zip(singles, repeat(1))
+        if lo < hi:
+            group = Counter(tail[lo:hi])
+            for v in heavy.keys() & group.keys():
+                group[v] += heavy[v]
+            centers.append(_weighted_mean(group))
+        start = hi
     return ClusterEstimate(tuple(centers), epsilon, float(tail_fraction))

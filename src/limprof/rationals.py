@@ -1,60 +1,72 @@
-"""Deterministic enumeration of rationals via the Calkin-Wilf recurrence.
+"""Deterministic enumeration of the rationals in (0, 1) from the Calkin-Wilf
+tree, built one level at a time.
 
-q_0 = 1 and q_{t+1} = 1 / (2*floor(q_t) - q_t + 1) visits every positive
-rational exactly once; restricting to values below 1 enumerates the
-rationals of the open unit interval without repetition.
+The root of the tree is 1/1, and node a/b has left child a/(a+b) < 1 and
+right child (a+b)/b > 1; every positive rational appears exactly once, in
+lowest terms (Calkin and Wilf, "Recounting the rationals", Amer. Math.
+Monthly 107, 2000). Read level by level, left to right, the tree is the
+sequence q_0 = 1, q_{t+1} = 1 / (2*floor(q_t) - q_t + 1).
 
-The walk runs on coprime integer pairs: q = a/b maps to
-b / ((2*floor(a/b) + 1)*b - a), and gcd(b, (2*floor(a/b) + 1)*b - a) =
-gcd(b, a) = 1, so every pair stays in lowest terms and no gcd is taken.
+The rationals below 1 are exactly the left children, in the order of their
+parents, so the i-th of them is r_i = a_i/(a_i + b_i) for the i-th term
+a_i/b_i of the tree; gcd(a, a+b) = gcd(a, b) = 1 keeps it in lowest terms.
+Every term yields one unit rational, with no filter and no gcd.
 
-The rationals below 1 need no filter. The sequence q_t lists the Calkin-Wilf
-tree level by level, left to right: the root is 1/1, and node a/b has left
-child a/(a+b) < 1 and right child (a+b)/b > 1 (Calkin and Wilf, "Recounting
-the rationals", Amer. Math. Monthly 107, 2000). So the terms below 1 are
-exactly the left children. Level k+1 lists the children of level k in their
-parents' order, left child first, and levels follow one another; so the
-left children appear in the order of their parents, and the t-th term below
-1 is the left child of q_t. For q_t = a/b that is a/(a+b), again in lowest
-terms since gcd(a, a+b) = gcd(a, b) = 1. One step of the walk therefore
-yields one unit rational, where filtering the walk takes two.
+UnitRationalTable lists them in two int lists, a level at a time. From the
+numerators a and denominators b of a run of level k's terms, one
+``map(add, a, b)`` gives the denominators a + b of their left children.
+Level k+1 lists the children of level k's terms in their parents' order,
+left child first, so once level k is read in full, two interleaving slice
+assignments of a, a + b and b lay out level k+1: no step per term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterator
 
 
-def calkin_wilf_pairs() -> Iterator[tuple[int, int]]:
-    """Calkin-Wilf terms as coprime (numerator, denominator) pairs."""
-    a, b = 1, 1
-    while True:
-        yield a, b
-        a, b = b, (2 * (a // b) + 1) * b - a
+class UnitRationalTable:
+    """The first unit rationals r_i = nums[i] / dens[i], in lowest terms,
+    grown on demand. Besides the two lists it keeps only the tree level it
+    has reached, whose left children it has copied in part or in full."""
 
+    def __init__(self) -> None:
+        self.nums: list[int] = []
+        self.dens: list[int] = []
+        self._level: tuple[list[int], list[int]] = ([1], [1])  # a, b of its terms a/b
+        self._start = 0  # the table index of the level's first left child
 
-def calkin_wilf() -> Iterator[Fraction]:
-    for a, b in calkin_wilf_pairs():
-        yield Fraction(a, b)
-
-
-def unit_rational_pairs() -> Iterator[tuple[int, int]]:
-    """The terms of unit_rationals as coprime pairs (a, b) with a < b: the
-    left child (a, a + b) of every Calkin-Wilf term (a, b), in order."""
-    for a, b in calkin_wilf_pairs():
-        yield a, a + b
+    def extend_to(self, count: int) -> None:
+        """Make the table hold at least ``count`` terms (exactly that many
+        when it held fewer)."""
+        nums, dens = self.nums, self.dens
+        while len(nums) < count:
+            a, b = self._level
+            done = len(nums) - self._start
+            if done == len(a):  # the next level, from this one's a, a + b and b
+                s = dens[self._start:]
+                left, right = s * 2, s * 2
+                left[::2], left[1::2] = a, s
+                right[::2], right[1::2] = s, b
+                self._level, self._start = (left, right), len(nums)
+                continue
+            stop = min(len(a), done + count - len(nums))
+            nums += a[done:stop]
+            dens += map(add, a[done:stop], b[done:stop])
 
 
 def unit_rationals() -> Iterator[Fraction]:
     """Rationals in (0, 1), each exactly once: 1/2, 1/3, 2/3, 1/4, 3/5, ..."""
-    for a, b in unit_rational_pairs():
-        yield Fraction(a, b)
+    table = UnitRationalTable()
+    while True:
+        start = len(table.nums)
+        table.extend_to(2 * start + 1)
+        yield from map(Fraction, table.nums[start:], table.dens[start:])
 
 
 def first_unit_rationals(count: int) -> tuple[Fraction, ...]:
-    out = []
-    it = unit_rationals()
-    for _ in range(count):
-        out.append(next(it))
-    return tuple(out)
+    table = UnitRationalTable()
+    table.extend_to(count)
+    return tuple(map(Fraction, table.nums[:max(count, 0)], table.dens))

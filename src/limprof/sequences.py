@@ -16,10 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter, getitem
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadRelationError, EmptyInputError, ShapeError
 from .kernel import rat, rat_str
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 @dataclass(frozen=True)
@@ -62,7 +66,7 @@ class StepSequence:
     def __post_init__(self):
         if len(self.values) != len(self.partition.atoms):
             raise ShapeError("one value per atom required")
-        if len(set(self.values)) != len(self.values):
+        if len(set(exact_keys(self.values))) != len(self.values):
             raise ShapeError("canonical form requires pairwise distinct values")
 
     @property
@@ -104,21 +108,25 @@ def canonicalize(partition: SymbolicPartition, values: Sequence) -> StepSequence
     vals = [rat(v) for v in values]
     if len(vals) != len(partition.atoms):
         raise ShapeError("one value per atom required")
-    groups: dict[Fraction, list[Atom]] = {}
+    groups: dict[tuple[int, int], list[Atom]] = {}
     order: list[Fraction] = []
-    for atom, v in zip(partition.atoms, vals):
-        if v not in groups:
-            groups[v] = []
+    for atom, v, key in zip(partition.atoms, vals, exact_keys(vals)):
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [atom]
             order.append(v)
-        groups[v].append(atom)
-    new_atoms = []
-    for v in order:
-        members = groups[v]
-        if len(members) == 1:
-            new_atoms.append(members[0])
         else:
-            new_atoms.append(Atom("|".join(a.id for a in members)))
+            members.append(atom)
+    new_atoms = [members[0] if len(members) == 1 else Atom("|".join(a.id for a in members))
+                 for members in groups.values()]
     return StepSequence(SymbolicPartition(tuple(new_atoms)), tuple(order))
+
+
+def exact_keys(values: Sequence[Fraction]) -> Iterable[tuple[int, int]]:
+    """(numerator, denominator) of each value: normalized Fractions share
+    this key exactly when they are equal, and a tuple of ints hashes without
+    the modular power that Fraction.__hash__ takes."""
+    return zip(map(_numerator, values), map(_denominator, values))
 
 
 @dataclass(frozen=True)
@@ -295,20 +303,17 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
     for t in range(1, len(live)):
         sj = live[t]
         nbs = [_neighbours(table[(si, sj)], xs[si].num_atoms) for si in live[:t]]
+        last = [(b,) for b in range(xs[sj].num_atoms)]
         new: list[tuple[int, ...]] = []
         for comp in composites:
-            common = set.intersection(*(nb[a] for nb, a in zip(nbs, comp)))
-            new.extend(comp + (b,) for b in sorted(common))
+            common = set.intersection(*map(getitem, nbs, comp))
+            new += map(comp.__add__, map(last.__getitem__, sorted(common)))
         composites = new
     if not composites:
         raise BadRelationError("declared relations leave no infinite refined atom")
 
     ids = [xs[i].partition.ids for i in live]
     scaled = [[cs[i] * v for v in xs[i].values] for i in live]
-    atoms = []
-    values = []
-    for comp in composites:
-        atoms.append("&".join(ids[u][a] for u, a in enumerate(comp)))
-        values.append(sum((scaled[u][a] for u, a in enumerate(comp) if scaled[u][a]),
-                          Fraction(0)))
+    atoms = ["&".join(map(getitem, ids, comp)) for comp in composites]
+    values = [sum(filter(None, map(getitem, scaled, comp)), Fraction(0)) for comp in composites]
     return canonicalize(SymbolicPartition.from_ids(atoms), values)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -13,6 +14,8 @@ import limprof
 import limprof.cli as cli
 import limprof.lab as lab
 from limprof.kernel import rat_str
+
+from lab_oracle import evaluate
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -214,17 +217,11 @@ def test_sample_exact_csv(workdir):
 @pytest.mark.parametrize("gen", [["fq", "--q", "1/2"], ["rich", "--q", "2/3"]])
 @pytest.mark.parametrize("length", [1, 7, 64, 1000])
 @pytest.mark.parametrize("exact", [False, True])
-def test_sample_csv_streams_rows(gen, length, exact, workdir, monkeypatch, capsys):
-    """The CSV is written row by row from value_at, never from a whole
-    evaluated prefix, and has the bytes the evaluated prefix gives."""
+def test_sample_csv_streams_rows(gen, length, exact, workdir, capsys):
+    """The CSV has the bytes that value_at gives index by index."""
     seq = {"fq": lab.gen_fq, "rich": lab.gen_rich}[gen[0]](gen[2])
-    cells = [rat_str(v) if exact else f"{float(v):.17g}" for v in seq.evaluate(length)]
+    cells = [rat_str(v) if exact else f"{float(v):.17g}" for v in evaluate(seq, length)]
     expected = "index,value\n" + "".join(f"{i},{c}\n" for i, c in enumerate(cells))
-
-    def no_evaluate(self, n):
-        raise AssertionError("sample evaluated the whole prefix")
-
-    monkeypatch.setattr(lab.PrefixSequence, "evaluate", no_evaluate)
     csv_path = workdir / "x.csv"
     argv = ["sample", "--gen", *gen, "--len", str(length), "--csv", str(csv_path)]
     assert cli.main(argv + ["--exact"] if exact else argv) == 0
@@ -275,6 +272,83 @@ def test_verify_tampered_exit_1(workdir):
     p = run_cli("verify", str(cert_path))
     assert p.returncode == 1
     assert "verification.low" in p.stderr
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
+def verify_edited(workdir, name, edit):
+    """`limprof verify` in-process on golden certificate ``name`` after
+    ``edit`` changed its JSON: exit code, stdout and stderr."""
+    cert = json.loads((GOLDEN / f"{name}.cert.json").read_text(encoding="utf-8"))
+    edit(cert)
+    path = workdir / "edited.cert.json"
+    path.write_text(json.dumps(cert), encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["verify", str(path)])
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_verify_rejects_extra_param(workdir):
+    code, out, err = verify_edited(workdir, "escape-2x5",
+                                   lambda c: c["params"].update(extra=1))
+    assert code == 1 and json.loads(out)["verified"] is False
+    assert err.splitlines() == ["params.extra: stored 1 != recomputed None"]
+
+
+def test_verify_rejects_extra_input(workdir):
+    code, out, err = verify_edited(workdir, "escape-2x5",
+                                   lambda c: c["inputs"].update(extra=[]))
+    assert code == 1 and json.loads(out)["verified"] is False
+    assert err.splitlines() == ["inputs.extra: stored [] != recomputed None"]
+
+
+def test_verify_rejects_extra_top_level_key(workdir):
+    code, out, err = verify_edited(workdir, "escape-2x5", lambda c: c.update(bogus="x"))
+    assert code == 1 and json.loads(out)["verified"] is False
+    assert err.splitlines() == ["bogus: stored 'x' != recomputed None"]
+
+
+def test_verify_checks_mode_against_inputs(workdir):
+    """vertices imply an approximate census, a matrix an exact profile."""
+    code, out, err = verify_edited(workdir, "polygon-5-approximate",
+                                   lambda c: c.update(mode="exact"))
+    assert code == 1 and json.loads(out)["verified"] is False
+    assert err.splitlines() == ["mode: stored 'exact' != recomputed 'approximate'"]
+    code, _, err = verify_edited(workdir, "polygon-3-exact",
+                                 lambda c: c.update(mode="approximate"))
+    assert code == 1 and err.splitlines() == [
+        "mode: stored 'approximate' != recomputed 'exact'"]
+
+
+def test_verify_compares_json_types(workdir):
+    """2.0 for 2 and 1 for true are equal in Python but not the bytes that
+    construct writes."""
+    def retype(c):
+        c["verification"]["low"] = float(c["verification"]["low"])
+        c["verification"]["pass"] = 1
+
+    code, _, err = verify_edited(workdir, "interval-2-1", retype)
+    assert code == 1 and err.splitlines() == [
+        "verification.low: stored 2.0 != recomputed 2",
+        "verification.pass: stored 1 != recomputed True"]
+
+
+@pytest.mark.parametrize("name", sorted(p.name[:-len(".cert.json")] for p in GOLDEN.iterdir()))
+def test_verify_reads_every_golden_certificate(workdir, name):
+    """Unchanged, and without toolVersion, every golden certificate verifies;
+    a param that is not a string, written as one, is malformed input."""
+    code, out, _ = verify_edited(workdir, name, lambda c: None)
+    assert code == 0 and json.loads(out)["verified"] is True
+    code, out, _ = verify_edited(workdir, name, lambda c: c.pop("toolVersion"))
+    assert code == 0 and json.loads(out)["verified"] is True
+
+    def retype(c):
+        key = min(k for k, v in c["params"].items() if type(v) is not str)
+        c["params"][key] = str(c["params"][key])
+
+    assert verify_edited(workdir, name, retype)[0] == 2
 
 
 @pytest.mark.parametrize("version, code", [
@@ -654,3 +728,80 @@ def test_matrix_commands_reject_malformed_json(matrix_path, data):
         assert code in (2, 3), (kind, text[:200], command, out)
         assert out == "" and "Traceback" not in err
         assert json.loads(err)["error"]
+
+
+GOLDEN_CERTS = {p.name: json.loads(p.read_text(encoding="utf-8"))
+                for p in sorted(GOLDEN.iterdir())}
+_PLACEHOLDER = "\u0000nested\u0000"
+
+
+def _paths(obj, path=()):
+    """Every path into a JSON value: its keys and indices, the root included."""
+    yield path
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(obj, list):
+        for i, value in enumerate(obj):
+            yield from _paths(value, path + (i,))
+
+
+@st.composite
+def malformed_certificate_text(draw):
+    """A golden certificate with one structural change: a value of another
+    JSON type, a key removed, a string that is no rational, or a value
+    replaced by deeply nested lists. Returns the change and the JSON text."""
+    name = draw(st.sampled_from(sorted(GOLDEN_CERTS)))
+    cert = json.loads(json.dumps(GOLDEN_CERTS[name]))
+    kind = draw(st.sampled_from(["wrong type", "missing key", "non-rational", "deep nesting"]))
+    paths = list(_paths(cert))
+    if kind == "missing key":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+        del _at(cert, path[:-1])[path[-1]]
+        return name, kind, path, json.dumps(cert)
+    if kind == "non-rational":
+        path = draw(st.sampled_from([p for p in paths if isinstance(_at(cert, p), str)]))
+        value = draw(NON_RATIONAL.filter(lambda v: v != _at(cert, path)))
+    elif kind == "wrong type":
+        path = draw(st.sampled_from(paths))
+        old = _at(cert, path)
+        value = draw(ANY_JSON.filter(lambda v: type(v) is not type(old)))
+    else:
+        path = draw(st.sampled_from(paths))
+        value = _PLACEHOLDER
+    if not path:
+        cert = value
+    else:
+        _at(cert, path[:-1])[path[-1]] = value
+    text = json.dumps(cert)
+    if kind == "deep nesting":
+        depth = draw(st.integers(2, 100_000))
+        text = text.replace(json.dumps(_PLACEHOLDER), "[" * depth + "]" * depth)
+    return name, kind, path, text
+
+
+@pytest.fixture(scope="module")
+def cert_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("certificate-fuzz") / "c.cert.json"
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_verify_rejects_malformed_certificates(cert_path, data):
+    """A structurally broken certificate never verifies and never raises:
+    malformed params, inputs or fields exit 2 (3 past a cap) with one JSON
+    error line; a well-formed certificate whose stored parts differ from
+    the recomputed ones exits 1 with the paths on stderr. Removing
+    toolVersion is the one change that still verifies."""
+    name, kind, path, text = data.draw(malformed_certificate_text())
+    cert_path.write_text(text, encoding="utf-8")
+    code, out, err = run_in_process(["verify", str(cert_path)])
+    where = (name, kind, path)
+    assert "Traceback" not in err, where
+    if (kind, path) == ("missing key", ("toolVersion",)):
+        assert code == 0 and json.loads(out)["verified"] is True, where
+    elif code == 1:
+        assert json.loads(out)["verified"] is False and err, where
+    else:
+        assert code in (2, 3), (where, code, out, err)
+        assert out == "" and json.loads(err)["error"], where

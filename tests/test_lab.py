@@ -3,9 +3,11 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limprof.errors import (
     DegenerateError,
@@ -24,30 +26,38 @@ from limprof.lab import (
     gen_rich,
     gen_spaceable,
     h_sequence,
-    realize_atoms,
 )
 from limprof.rationals import (
-    calkin_wilf,
-    calkin_wilf_pairs,
+    UnitRationalTable,
     first_unit_rationals,
-    unit_rational_pairs,
     unit_rationals,
 )
 
+from lab_oracle import (
+    calkin_wilf_pairs,
+    estimate_by_triples,
+    evaluate,
+    realize_atoms,
+    triple_clusters,
+)
+
+
+def table_pairs(count):
+    """The first ``count`` unit rationals of the level table as pairs."""
+    table = UnitRationalTable()
+    table.extend_to(count)
+    assert len(table.nums) == len(table.dens) == count
+    return list(zip(table.nums, table.dens))
+
+
+def tree_terms(count):
+    """The first ``count`` Calkin-Wilf terms a/b read off the level table,
+    whose left children are a/(a + b)."""
+    return [(a, s - a) for a, s in table_pairs(count)]
+
 
 def test_calkin_wilf_prefix():
-    gen = calkin_wilf()
-    first = [next(gen) for _ in range(8)]
-    assert first == [
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(2),
-        Fraction(1, 3),
-        Fraction(3, 2),
-        Fraction(2, 3),
-        Fraction(3),
-        Fraction(1, 4),
-    ]
+    assert tree_terms(8) == [(1, 1), (1, 2), (2, 1), (1, 3), (3, 2), (2, 3), (3, 1), (1, 4)]
 
 
 def fraction_calkin_wilf():
@@ -59,15 +69,34 @@ def fraction_calkin_wilf():
 
 
 def test_calkin_wilf_matches_fraction_recurrence():
-    assert list(islice(calkin_wilf(), 70_000)) == list(islice(fraction_calkin_wilf(), 70_000))
+    """The level table holds the first 2^16 tree terms and unit rationals
+    of the per-step recurrence, in order."""
+    count = 1 << 16
+    terms = list(islice(fraction_calkin_wilf(), count))
+    assert [Fraction(a, b) for a, b in tree_terms(count)] == terms
+    assert list(islice(calkin_wilf_pairs(), count)) == [(q.numerator, q.denominator)
+                                                        for q in terms]
     oracle = (q for q in fraction_calkin_wilf() if q < 1)
-    assert list(first_unit_rationals(1 << 15)) == list(islice(oracle, 1 << 15))
+    assert [Fraction(a, b) for a, b in table_pairs(count)] == list(islice(oracle, count))
+    assert list(first_unit_rationals(1 << 15)) == [Fraction(a, b)
+                                                   for a, b in table_pairs(1 << 15)]
 
 
 def test_unit_rational_pairs_are_the_filtered_walk():
-    """Left children of the walk's terms are its terms below 1, in order."""
-    filtered = ((a, b) for a, b in calkin_wilf_pairs() if a < b)
-    assert list(islice(unit_rational_pairs(), 200_000)) == list(islice(filtered, 200_000))
+    """The table's unit rationals are the per-step walk's terms below 1, in
+    order and in lowest terms, however the table is grown: to any count
+    (a level's end, its first term, the middle of a level), in any order."""
+    filtered = list(islice(((a, b) for a, b in calkin_wilf_pairs() if a < b), 200_000))
+    assert table_pairs(200_000) == filtered
+    assert all(math.gcd(a, b) == 1 for a, b in filtered)
+    rng = random.Random("table-growth")
+    table = UnitRationalTable()
+    for count in [0, 1, 1, 2, 3, 7, 8, 6, 1000, 1023, 1024, 1025, 4096]:
+        count += rng.randrange(2)
+        table.extend_to(count)
+        assert list(zip(table.nums, table.dens)) == filtered[:max(count, len(table.nums))]
+    assert list(islice(unit_rationals(), 5000)) == list(first_unit_rationals(5000))
+    assert first_unit_rationals(0) == () and len(first_unit_rationals(1023)) == 1023
 
 
 def test_unit_rationals_prefix():
@@ -125,13 +154,13 @@ def test_realize_atoms_unknown_scheme():
 
 def test_gen_fq_examples():
     f = gen_fq(Fraction(1, 2))
-    vals = f.evaluate(5)
+    vals = evaluate(f, 5)
     assert vals[0] == Fraction(1)
     assert vals[1] == Fraction(1, 2)
     assert vals[3] == Fraction(1, 4)
-    assert all(0 < v <= 1 for v in f.evaluate(100))
+    assert all(0 < v <= 1 for v in evaluate(f, 100))
     powers = {Fraction(1, 2 ** j) for j in range(20)}
-    assert set(f.evaluate(1000)) <= powers
+    assert set(evaluate(f, 1000)) <= powers
 
 
 def test_gen_fq_range():
@@ -143,7 +172,7 @@ def test_gen_fq_range():
 
 def test_gen_combo_h_values():
     c = gen_combo([1, 1], [Fraction(1, 2), Fraction(1, 3)])
-    vals = c.evaluate(4)
+    vals = evaluate(c, 4)
     assert vals[0] == Fraction(2)  # atom 0
     assert vals[1] == Fraction(5, 6)  # atom 1
     assert vals[3] == Fraction(13, 36)  # atom 2
@@ -152,7 +181,7 @@ def test_gen_combo_h_values():
 def test_gen_combo_single_term_reduces_to_fq():
     c = gen_combo([1], [Fraction(1, 2)])
     f = gen_fq(Fraction(1, 2))
-    assert c.evaluate(64) == f.evaluate(64)
+    assert evaluate(c, 64) == evaluate(f, 64)
 
 
 def test_gen_combo_validation():
@@ -166,14 +195,14 @@ def test_gen_combo_validation():
 
 def test_prefix_extension_consistency():
     c = gen_combo([1, -2], [Fraction(1, 3), Fraction(2, 5)])
-    assert c.evaluate(128)[:64] == c.evaluate(64)
+    assert evaluate(c, 128)[:64] == evaluate(c, 64)
 
 
 def test_atom_values_constant_within_prefix():
     r = realize_atoms("dyadic-valuation")
     c = gen_combo([2, 1], [Fraction(1, 2), Fraction(1, 5)])
     h = combo_values([2, 1], [Fraction(1, 2), Fraction(1, 5)])
-    for m, v in enumerate(c.evaluate(512)):
+    for m, v in enumerate(evaluate(c, 512)):
         assert v == h(r.label(m))
 
 
@@ -202,7 +231,7 @@ def test_h_sequence_reports_collisions():
 def test_gen_rich_atom_zero_enumerates_unit_rationals():
     r = realize_atoms("dyadic-valuation")
     g = gen_rich(Fraction(1, 2))
-    vals = g.evaluate(64)
+    vals = evaluate(g, 64)
     atom0 = [vals[m] for m in range(64) if r.label(m) == 0]
     assert atom0 == list(first_unit_rationals(len(atom0)))
     assert all(0 < v < 1 for v in vals)
@@ -211,7 +240,7 @@ def test_gen_rich_atom_zero_enumerates_unit_rationals():
 def test_gen_rich_epsilon_fills_unit_interval():
     r = realize_atoms("dyadic-valuation")
     g = gen_rich(Fraction(1, 2))
-    vals = g.evaluate(10_000)
+    vals = evaluate(g, 10_000)
     atom0 = [float(vals[m]) for m in range(10_000) if r.label(m) == 0]
     buckets = {int(v / 0.1) for v in atom0}
     assert buckets >= set(range(10))
@@ -220,7 +249,7 @@ def test_gen_rich_epsilon_fills_unit_interval():
 def test_gen_spaceable_block_values():
     r = realize_atoms("pairing")
     g13 = gen_spaceable([1, 3], 2, 4)
-    vals = g13.evaluate(4096)
+    vals = evaluate(g13, 4096)
     for m, v in enumerate(vals):
         n, k = r.label(m)
         if n <= 1 and k <= 4:
@@ -300,43 +329,70 @@ def test_estimate_clusters_evaluates_only_the_tail():
             assert est == estimate_clusters(base, n, tail_fraction=tail, epsilon=1e-4), name
 
 
-def level_counter(levels):
-    out = Counter()
-    for v, k in levels:
+def expand(blocks):
+    """The values of a block walk, in its order, each repeated by its
+    block's multiplicity."""
+    out = []
+    for nums, dens, k in blocks:
         assert k > 0
-        out[v] += k
+        pairs = list(zip(nums, dens))
+        assert all(den > 0 for _, den in pairs)
+        out += chain.from_iterable([Fraction(num, den)] * k for num, den in pairs)
     return out
+
+
+def atom_order(a, b):
+    """The indices of [a, b) as the generators' block walks list them:
+    atom by atom in ascending order, each atom's indices by rank."""
+    r = realize_atoms("dyadic-valuation")
+    return sorted(range(a, b), key=lambda m: (r.label(m), r.rank(m)))
 
 
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 def test_levels_match_value_at(name):
-    """The level walk of each generator lists exactly the values value_at
-    gives over [a, b), with their multiplicities."""
+    """The block walk of each generator, flattened, lists value_at of the
+    indices in [a, b) index by index, atom by atom."""
     seq = GENERATORS[name]()
     rng = random.Random(f"levels/{name}")
-    ranges = [(0, 1), (0, 2), (1, 2), (0, 5), (3, 3), (37, 1001), (1 << 12, 1 << 13)]
+    ranges = [(0, 0), (0, 1), (0, 2), (1, 2), (0, 5), (3, 3), (37, 1001), (1 << 12, 1 << 13)]
     for _ in range(20):
-        a = rng.randrange(0, 5000)
+        a = rng.randrange(0, 5000) if rng.random() < 0.8 else 0
         ranges.append((a, a + rng.randrange(0, 3000)))
     # criterion 11's largest prefix: its whole tail for the valuation
     # generators, whose value_at is cheap, and the last 5000 indices for rich
     ranges.append(((1 << 20) - 5000 if name == "rich" else 1 << 19, 1 << 20))
     for a, b in ranges:
-        levels = list(seq.levels(a, b))
-        assert level_counter(levels) == Counter(seq.value_at(m) for m in range(a, b)), (a, b)
-        assert sum(k for _, k in levels) == b - a
+        assert expand(seq.blocks(a, b)) == [seq.value_at(m) for m in atom_order(a, b)], (a, b)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_walk_matches_value_at_on_random_ranges(data):
+    """Any [a, b), empty or from 0 included, on every generator and on a
+    hand-built sequence, whose one block lists value_at in index order."""
+    name = data.draw(st.sampled_from(sorted(GENERATORS) + ["hand-built"]))
+    a = data.draw(st.one_of(st.just(0), st.integers(0, 1 << 14)))
+    b = a + data.draw(st.integers(0, 3000))
+    if name == "hand-built":
+        seq = PrefixSequence("hand", lambda m: Fraction(m % 7 - 3, m % 5 + 1))
+        blocks = list(seq.blocks(a, b))
+        assert [k for _, _, k in blocks] == [1]
+        assert expand(blocks) == [seq.value_at(m) for m in range(a, b)]
+    else:
+        seq = GENERATORS[name]()
+        assert expand(seq.blocks(a, b)) == [seq.value_at(m) for m in atom_order(a, b)]
 
 
 def test_valuation_generators_skip_value_at():
     """fq, combo and spaceable list a tail atom by atom: a 2^40 prefix
-    takes about 40 levels and no value_at call."""
+    takes about 40 one-value blocks and no value_at call."""
 
     def refuse(m):
         raise AssertionError("value_at called")
 
     for name in ("fq", "combo", "spaceable"):
         seq = dataclasses.replace(GENERATORS[name](), value_at=refuse)
-        assert len(list(seq.levels(0, 1 << 40))) <= 41
+        assert len(list(seq.blocks(0, 1 << 40))) <= 41
         est = estimate_clusters(seq, 1 << 40, epsilon=1e-9)
         assert sum(k for _, k in est.centers) == 1 << 39
 
@@ -401,7 +457,12 @@ def test_weighted_mean_of_one_value_is_that_value():
     values += [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1070, 1020) for _ in range(500)]
     for v in values:
         count = rng.randint(1, 1 << 20)
-        assert _weighted_mean([v], {v: count}) == exact_mean(v, count)
+        assert _weighted_mean({v: count}) == exact_mean(v, count) == (v, count)
+    # the clusters of one float value that estimate_clusters emits in bulk
+    seq = PrefixSequence("spread", lambda m: Fraction(values[m % len(values)]))
+    est = estimate_clusters(seq, 3 * len(values), tail_fraction=1.0, epsilon=0.0)
+    want = sorted(exact_mean(v, 3) for v in set(values))
+    assert list(est.centers) == want
 
 
 def test_estimate_clusters_rejects_bad_epsilon():
@@ -421,9 +482,11 @@ def test_negative_indices_raise():
         with pytest.raises(RangeError):
             call(-1)
     with pytest.raises(RangeError):
-        gen_fq(Fraction(1, 2)).levels(-1, 4)
+        gen_fq(Fraction(1, 2)).blocks(-1, 4)
     with pytest.raises(RangeError):
-        gen_fq(Fraction(1, 2)).levels(5, 4)
+        gen_fq(Fraction(1, 2)).blocks(5, 4)
+    with pytest.raises(RangeError):
+        PrefixSequence("hand", lambda m: Fraction(m)).blocks(5, 4)
 
 
 def test_valuation_of_large_indices():
@@ -487,20 +550,22 @@ RICH_RATIOS = [Fraction(1, 2), Fraction(3, 4), Fraction(5, 6), Fraction(1, 10),
 
 @pytest.mark.parametrize("q", RICH_RATIOS, ids=str)
 def test_rich_levels_match_per_index_values(q):
-    """Rich levels are integer pairs (p^j a, s^j b) taken without a gcd, so a
-    pair is unreduced when s shares a factor with a or p with b: for
-    q = 1/2 and r = 2/3 the level at j = 1 is (2, 6). levels() still gives
-    the exact values, and every integer level divides to float(value_at(m))."""
+    """Rich blocks are integer pairs (p^j a, s^j b) taken without a gcd, so
+    a pair is unreduced when s shares a factor with a or p with b: for
+    q = 1/2 and r = 2/3 the pair at j = 1 is (2, 6). The pairs still give
+    the exact values, and every pair divides to float(value_at(m))."""
     seq = gen_rich(q)
     for a, b in ((0, 1), (0, 64), (1000, 3000), (5000, 9001)):
-        triples = list(seq.integer_levels(a, b))
-        assert all(den > 0 and k == 1 for _, den, k in triples)
-        assert len(triples) == b - a
-        assert level_counter(seq.levels(a, b)) == Counter(seq.value_at(m) for m in range(a, b))
-        assert Counter(num / den for num, den, _ in triples) == Counter(
-            float(seq.value_at(m)) for m in range(a, b))
+        blocks = [(list(nums), list(dens), k) for nums, dens, k in seq.blocks(a, b)]
+        assert all(k == 1 and len(nums) == len(dens) for nums, dens, k in blocks)
+        pairs = [pair for nums, dens, _ in blocks for pair in zip(nums, dens)]
+        assert len(pairs) == b - a and all(den > 0 for _, den in pairs)
+        order = atom_order(a, b)
+        assert [Fraction(num, den) for num, den in pairs] == [seq.value_at(m) for m in order]
+        assert [num / den for num, den in pairs] == [float(seq.value_at(m)) for m in order]
     if q.denominator % 2 == 0:
-        assert any(math.gcd(num, den) > 1 for num, den, _ in seq.integer_levels(0, 64))
+        assert any(math.gcd(num, den) > 1 for nums, dens, _ in seq.blocks(0, 64)
+                   for num, den in zip(nums, dens))
 
 
 def per_index_clusters(seq, n, epsilon):
@@ -531,3 +596,76 @@ def test_rich_clusters_match_per_index_oracle(q):
         for eps in (None, 1e-3, 1e-7):
             est = estimate_clusters(seq, n, epsilon=eps)
             assert (est.centers, est.epsilon) == per_index_clusters(seq, n, eps), (n, eps)
+
+
+def block_sequence(blocks):
+    """A sequence whose every range has the given blocks (value_at is never
+    read by estimate_clusters when a block walk is given)."""
+    def refuse(m):
+        raise AssertionError("value_at called")
+
+    return PrefixSequence("blocks", refuse, lambda a, b: iter(blocks))
+
+
+@st.composite
+def level_multisets(draw):
+    """Blocks of random levels: multiplicities 1 and > 1, unreduced pairs
+    whose float equals another pair's (1/3 and 2/6), negative values, huge
+    and tiny magnitudes; and an epsilon of None, 0, a random radius, or a
+    gap of the sorted floats, so that merged runs reach either end."""
+    base = st.tuples(st.integers(-60, 60), st.integers(1, 40))
+    scaled = st.tuples(base, st.integers(1, 6)).map(lambda t: (t[0][0] * t[1], t[0][1] * t[1]))
+    wide = st.tuples(st.integers(-(1 << 70), 1 << 70), st.integers(1, 1 << 80))
+    pair = st.one_of(base, scaled, wide)
+    block = st.tuples(st.lists(pair, min_size=1, max_size=12),
+                      st.one_of(st.just(1), st.integers(1, 1 << 40)))
+    blocks = draw(st.lists(block, min_size=1, max_size=8))
+    if draw(st.booleans()):  # a copy of a block, so values repeat across blocks
+        blocks.append(draw(st.sampled_from(blocks)))
+    floats = sorted({num / den for pairs, _ in blocks for num, den in pairs})
+    kind = draw(st.sampled_from(["none", "zero", "radius", "gap"]))
+    if kind == "none":
+        epsilon = None
+    elif kind == "zero":
+        epsilon = 0.0
+    elif kind == "radius":
+        epsilon = draw(st.floats(0, 10, allow_nan=False))
+    elif len(floats) > 1:
+        i = draw(st.sampled_from([0, len(floats) - 2, draw(st.integers(0, len(floats) - 2))]))
+        epsilon = floats[i + 1] - floats[i]
+    else:
+        epsilon = 0.0
+    return [([n for n, _ in pairs], [d for _, d in pairs], k) for pairs, k in blocks], epsilon
+
+
+@given(level_multisets())
+@settings(max_examples=300, deadline=None)
+def test_estimate_clusters_matches_triple_oracle(case):
+    """Bit for bit the estimate the per-triple tally gave."""
+    blocks, epsilon = case
+    want = triple_clusters(((num, den, k) for nums, dens, k in blocks
+                            for num, den in zip(nums, dens)), 1.0, epsilon)
+    assert estimate_clusters(block_sequence(blocks), 1, 1.0, epsilon) == want
+
+
+def test_estimate_clusters_triple_oracle_examples():
+    """Equal floats of distinct pairs, merged runs at both ends, negative
+    values and a one-value block with a large multiplicity."""
+    blocks = [([1, 2, -7, 5], [3, 6, 2, 1], 1), ([-7], [2], 1 << 30), ([5, 50], [1, 10], 3),
+              ([-69999999, 1], [20000000, 3], 1)]
+    for epsilon in (None, 0.0, 1e-7, 0.5, 4.0, 100.0):
+        want = triple_clusters(((num, den, k) for nums, dens, k in blocks
+                                for num, den in zip(nums, dens)), 1.0, epsilon)
+        assert estimate_clusters(block_sequence(blocks), 1, 1.0, epsilon) == want
+    assert estimate_clusters(block_sequence(blocks), 1, 1.0, 0.0).centers == (
+        (-3.5, (1 << 30) + 1), (-3.49999995, 1), (1 / 3, 3), (5.0, 1 + 3 + 3))
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_generator_clusters_match_triple_oracle(name):
+    seq = GENERATORS[name]()
+    for n in (1, 2, 999, 4099, 1 << 14):
+        for tail in (0.5, 1.0, 0.1):
+            for eps in (None, 0.0, 1e-3, 1e-7):
+                assert estimate_clusters(seq, n, tail, eps) == estimate_by_triples(
+                    seq, n, tail, eps), (n, tail, eps)
