@@ -6,13 +6,14 @@ the embedded data alone with the same deterministic code paths, then demands
 equality of the JSON, key by key. No timestamps, no environment.
 
 ``CLAIMS`` maps each claim name to its payload, a function of the
-certificate's own JSON ``params`` and ``inputs`` that returns the witnesses
-and the verification transcript (or None when no witness exists), and to
-readers of those params and inputs. Building a certificate makes the
-inputs, then runs the payload on them; verifying reads the stored params
-and inputs back into the JSON construct writes, runs the same payload on
-them and diffs the rebuilt certificate against what is stored. Construct
-and verify therefore run one code path on one set of data.
+certificate's own JSON ``params`` and of its ``inputs`` read into objects,
+that returns the witnesses and the verification transcript (or None when no
+witness exists), and to readers of those params and inputs. Building a
+certificate makes the inputs, reads them and runs the payload; verifying
+reads the stored params and inputs once, runs the same payload, writes the
+inputs back as construct writes them and diffs the rebuilt certificate
+against what is stored. Construct and verify therefore run one code path on
+one set of data.
 """
 
 from __future__ import annotations
@@ -225,7 +226,7 @@ def _witness_json(witnesses) -> dict:
 
 def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     n, d = int(params["n"]), int(params["d"])
-    prof = profile(matrix_from_json(inputs["matrix"]))
+    prof = profile(inputs["matrix"])
     within = all(n <= c <= n + d for c in prof.achieved)
     endpoints = n in prof.achieved and (n + d) in prof.achieved
     verification = {
@@ -241,7 +242,7 @@ def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
 
 def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     k = int(params["k"])
-    mat = matrix_from_json(inputs["matrix"])
+    mat = inputs["matrix"]
     if mat.cols <= PROFILE_CAP:
         prof = profile(mat)
         counts = list(prof.achieved)
@@ -278,10 +279,9 @@ def _polygon(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     n = int(params["n"])
     expected = sorted({n, n + 1, 2 * n})
     if "matrix" in inputs:
-        counts = list(profile(matrix_from_json(inputs["matrix"])).achieved)
+        counts = list(profile(inputs["matrix"]).achieved)
     else:
-        verts = [tuple(p) for p in inputs["vertices"]]
-        counts = list(approx_direction_census(verts, tol=float(inputs["tolerance"])))
+        counts = list(approx_direction_census(inputs["vertices"], tol=inputs["tolerance"]))
     return {}, {"counts": counts, "expected": expected, "pass": counts == expected}
 
 
@@ -330,7 +330,7 @@ def _spaceable(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
 
 def _refute(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     n, d = int(params["n"]), int(params["d"])
-    w = refute_interval(matrix_from_json(inputs["matrix"]), n, d)
+    w = refute_interval(inputs["matrix"], n, d)
     verification = {
         "multiplicity": w.multiplicity,
         "low": n,
@@ -343,9 +343,7 @@ def _refute(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
 
 
 def _escape(params: Mapping, inputs: Mapping) -> tuple[dict, dict] | None:
-    x = StepSequence.from_json(inputs["x"])
-    y = StepSequence.from_json(inputs["y"])
-    rel = InfinitudeRelation.from_json(inputs["relation"])
+    x, y, rel = inputs["x"], inputs["y"], inputs["relation"]
     w = escape(x, y, rel, params["forbidden"])
     if w is None:
         return None
@@ -368,8 +366,10 @@ def _escape(params: Mapping, inputs: Mapping) -> tuple[dict, dict] | None:
     return witnesses, verification
 
 
-# Readers of stored params and inputs: each takes a JSON value, raises on a
-# malformed one, and returns the JSON construct would store for that data.
+# Readers of stored params and inputs: each takes a JSON value and raises on
+# a malformed one. A param reader returns the JSON construct would store for
+# that data; an input is a (read, write) pair, where read returns the object
+# the payload takes and write the JSON construct would store for it.
 
 
 def _json_typed(kind: type):
@@ -383,12 +383,13 @@ def _json_typed(kind: type):
 
 _int, _str, _float, _list, _object = map(_json_typed, (int, str, float, list, dict))
 
-_READ_MATRIX = {"matrix": lambda v: matrix_to_json(matrix_from_json(_object(v)))}
-_READ_VERTICES = {"vertices": lambda v: [[_float(x), _float(y)] for x, y in map(_list, _list(v))],
-                  "tolerance": _float}
-_READ_PAIR = {"x": lambda v: StepSequence.from_json(v).to_json(),
-              "y": lambda v: StepSequence.from_json(v).to_json(),
-              "relation": lambda v: InfinitudeRelation.from_json(v).to_json()}
+_MATRIX = {"matrix": (lambda v: matrix_from_json(_object(v)), matrix_to_json)}
+_VERTICES = {"vertices": (lambda v: [(_float(x), _float(y)) for x, y in map(_list, _list(v))],
+                          lambda vs: [[x, y] for x, y in vs]),
+             "tolerance": (_float, _float)}
+_SEQUENCE = (StepSequence.from_json, StepSequence.to_json)
+_PAIR = {"x": _SEQUENCE, "y": _SEQUENCE,
+         "relation": (InfinitudeRelation.from_json, InfinitudeRelation.to_json)}
 
 
 def _mode(modes: Mapping, inputs: Mapping) -> str:
@@ -397,33 +398,33 @@ def _mode(modes: Mapping, inputs: Mapping) -> str:
                 next(iter(modes)))
 
 
-# claim -> (payload, readers of its params, readers of its inputs per mode;
-# polygon: a matrix is exact, vertices approximate)
+# claim -> (payload, readers of its params, readers and writers of its inputs
+# per mode; polygon: a matrix is exact, vertices approximate)
 CLAIMS = {
-    "interval-profile": (_interval, {"n": _int, "d": _int}, {"exact": _READ_MATRIX}),
-    "odd-profile": (_odd, {"k": _int}, {"exact": _READ_MATRIX}),
-    "polygon-profile": (_polygon, {"n": _int},
-                        {"exact": _READ_MATRIX, "approximate": _READ_VERTICES}),
+    "interval-profile": (_interval, {"n": _int, "d": _int}, {"exact": _MATRIX}),
+    "odd-profile": (_odd, {"k": _int}, {"exact": _MATRIX}),
+    "polygon-profile": (_polygon, {"n": _int}, {"exact": _MATRIX, "approximate": _VERTICES}),
     "independent-family": (_independent, {"k": _int, "split": _int}, {"exact": {}}),
     "spaceable-rows": (_spaceable, {"nMax": _int, "kMax": _int, "flavor": _str},
                        {"exact": {}}),
-    "refute-interval": (_refute, {"n": _int, "d": _int}, {"exact": _READ_MATRIX}),
+    "refute-interval": (_refute, {"n": _int, "d": _int}, {"exact": _MATRIX}),
     "escape": (_escape, {"forbidden": lambda v: sorted(set(map(_int, _list(v))))},
-               {"exact": _READ_PAIR}),
+               {"exact": _PAIR}),
 }
 
 
 # ---------------------------------------------------------------------------
-# builders: make the inputs, then run the claim's payload on them
+# builders: make the inputs, then run the claim's payload on them, read back
 
 
 def _certify(claim: str, params: dict, inputs: dict) -> Certificate | None:
     run, _, modes = CLAIMS[claim]
-    payload = run(params, inputs)
+    mode = _mode(modes, inputs)
+    payload = run(params, _read_inputs(modes[mode], inputs))
     if payload is None:
         return None
     witnesses, verification = payload
-    return Certificate(claim, _mode(modes, inputs), params, inputs, witnesses, verification)
+    return Certificate(claim, mode, params, inputs, witnesses, verification)
 
 
 def build_interval_certificate(n: int, d: int) -> Certificate:
@@ -492,6 +493,10 @@ def _read(readers: Mapping, stored: Mapping, where: str) -> dict:
     return {key: read(stored[key]) for key, read in readers.items()}
 
 
+def _read_inputs(codecs: Mapping, stored: Mapping) -> dict:
+    return _read({key: read for key, (read, _) in codecs.items()}, stored, "inputs")
+
+
 def verify_certificate(cert: Certificate, stored: Mapping | None = None) -> tuple[bool, list[str]]:
     """Rebuild the certificate as construct writes it from the stored params
     and inputs (mode, params, inputs, witnesses, transcript) and report
@@ -511,12 +516,14 @@ def verify_certificate(cert: Certificate, stored: Mapping | None = None) -> tupl
     run, param_readers, modes = CLAIMS[cert.claim]
     mode = _mode(modes, cert.inputs)
     params = _read(param_readers, cert.params, "params")
-    inputs = _read(modes[mode], cert.inputs, "inputs")
-    payload = run(params, inputs)
+    codecs = modes[mode]
+    objects = _read_inputs(codecs, cert.inputs)
+    payload = run(params, objects)
     if payload is None:
         return False, [f"{cert.claim}: no witness found on recomputation"]
     witnesses, verification = payload
     stored = cert.to_json() if stored is None else stored
+    inputs = {key: write(objects[key]) for key, (_, write) in codecs.items()}
     rebuilt = Certificate(cert.claim, mode, params, inputs, witnesses, verification).to_json()
     if "toolVersion" not in stored:
         del rebuilt["toolVersion"]
