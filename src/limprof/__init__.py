@@ -17,7 +17,6 @@ from .builders import (
     generic_vectors,
     independent_family,
     interval_space,
-    nonconvergent_span,
     odd_space,
     polygon_space,
     spaceable_rows,
@@ -70,9 +69,7 @@ from .geometry import (
     approx_direction_census,
     approx_regular_polygon,
     collinear,
-    direction_classes,
     escape,
-    pair_directions,
     pinchasi_search,
 )
 from .kernel import (
@@ -100,7 +97,7 @@ from .lab import (
     gen_spaceable,
     h_sequence,
 )
-from .rationals import first_unit_rationals, unit_rationals
+from .rationals import first_unit_rationals
 from .sequences import (
     Atom,
     InfinitudeRelation,
@@ -125,14 +122,13 @@ __all__ = [
     "refute_interval", "sample_profile", "separation_radius",
     # geometry
     "Direction", "EscapeWitness", "PointConfig", "approx_direction_census",
-    "approx_regular_polygon", "collinear", "direction_classes", "escape",
-    "pair_directions", "pinchasi_search",
+    "approx_regular_polygon", "collinear", "escape", "pinchasi_search",
     # rationals
-    "first_unit_rationals", "unit_rationals",
+    "first_unit_rationals",
     # builders
     "GenericVectorFamily", "IndependentFamily", "PolygonSpace",
     "SpaceableFamily", "generic_vectors", "independent_family",
-    "interval_space", "nonconvergent_span", "odd_space", "polygon_space",
+    "interval_space", "odd_space", "polygon_space",
     "spaceable_rows", "value_ladder",
     # lab
     "ClusterEstimate", "HSequenceReport", "PrefixSequence", "cantor_unpair",

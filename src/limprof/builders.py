@@ -19,8 +19,8 @@ from .errors import InternalError, ShapeError, TooLargeError
 from .kernel import (
     RatMatrix,
     Vec,
-    integer_nullspace,
     integer_tuples,
+    nullspace,
     rank_of_vectors,
     vec,
 )
@@ -89,7 +89,7 @@ def _hyperplane_values(
                 diffs.append([x - y for x, y in zip(p, leads[b])])
             else:
                 leads[b] = p
-        basis = integer_nullspace(diffs)
+        basis = nullspace(diffs)
         if len(basis) != 1:
             raise InternalError("generic_vectors: prefix lost general position")
         normal = basis[0]
@@ -240,17 +240,6 @@ def independent_family(k: int, split: int = 2) -> IndependentFamily:
         raise TooLargeError(f"{split}^{k} atoms exceeds cap {FAMILY_CAP}")
     values = (0, 1) if split == 2 else (-1, 0, 1)
     return IndependentFamily(k, split, tuple(product(values, repeat=k)))
-
-
-def nonconvergent_span(k: int) -> RatMatrix:
-    """k x 2^k matrix of indicator rows over the {0,1}^k sign atoms: row g is
-    1 exactly on atoms with g-th coordinate 1. Every nonzero combination
-    attains 0 (all-zero atom) and its first nonzero coefficient (a basis
-    atom), so no nonzero element of the span converges."""
-    fam = independent_family(k, split=2)
-    return RatMatrix.from_rows(
-        [[Fraction(a[g]) for a in fam.atoms] for g in range(k)]
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, product
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Mapping
 
 from . import __version__
 from .builders import (
+    ODD_CAP,
     independent_family,
     interval_space,
     odd_space,
@@ -36,15 +37,16 @@ from .builders import (
 )
 from .engine import (
     PROFILE_CAP,
+    _integer_columns,
     matrix_from_json,
     matrix_to_json,
     multiplicity,
     profile,
     refute_interval,
 )
-from .errors import LimprofError, ShapeError
+from .errors import LimprofError, ShapeError, TooLargeError
 from .geometry import approx_direction_census, escape
-from .kernel import RatMatrix, normalize_primitive, rat_str, vec
+from .kernel import RatMatrix, integer_multiple, normalize_primitive, rat_str, vec
 from .sequences import InfinitudeRelation, StepSequence, combine
 
 
@@ -243,6 +245,11 @@ def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
 def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     k = int(params["k"])
     mat = inputs["matrix"]
+    if k > ODD_CAP:
+        raise TooLargeError(f"k = {k} exceeds cap {ODD_CAP}")
+    if k < 1 or (mat.rows, mat.cols) != (k, 3**k):
+        raise ShapeError(f"an odd-profile matrix for k = {k} is k x 3^k, "
+                         f"not {mat.rows} x {mat.cols}")
     if mat.cols <= PROFILE_CAP:
         prof = profile(mat)
         counts = list(prof.achieved)
@@ -260,7 +267,10 @@ def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
         method = "sign-pattern-census"
     all_odd = all(c % 2 == 1 for c in counts)
     at_least = all(c >= 3 for c in counts)
-    value_sets = [set(mat.left_mul_vec(vec(w))) for w in witnesses.values()]
+    # on the integer columns: a positive scale keeps symmetry and zero
+    cols = _integer_columns(mat)
+    value_sets = [{sum(map(mul, integer_multiple(vec(w)), c)) for c in cols}
+                  for w in witnesses.values()]
     sym_ok = all(values == {-v for v in values} for values in value_sets)
     zero_ok = all(0 in values for values in value_sets)
     verification = {

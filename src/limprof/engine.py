@@ -16,13 +16,13 @@ block cuts the flat by one hyperplane (one integer elimination step); a
 prefix is dropped once two leaders' projections coincide. The complete
 strings are exactly the coincidence patterns that some a != 0 realizes.
 
-The witness search and ``multiplicity`` also run on the integer columns of
-``_integer_columns`` (M times one common denominator): a pattern's witness
-comes from integer column differences, ``integer_nullspace`` and an integer
-``generic_point``, and only the primitive witness becomes Fractions;
-``multiplicity`` counts the values of an integer multiple of a on them. A
-common positive multiplier changes no coincidence, so every witness and
-count equals the rational one.
+The witness search, ``collapse``, ``refute_interval`` and ``multiplicity``
+also run on the integer columns of ``_integer_columns`` (M times one common
+denominator): a witness comes from integer column differences and the
+kernel's integer ``nullspace``, ``solve_affine`` and ``generic_point``, and
+only the primitive witness becomes Fractions; ``multiplicity`` counts the
+values of an integer multiple of a on them. A common positive multiplier
+changes no coincidence, so every witness and count equals the rational one.
 """
 
 from __future__ import annotations
@@ -47,12 +47,9 @@ from .kernel import (
     AffineSubspace,
     RatMatrix,
     Vec,
-    dot,
     generic_point,
     integer_multiple,
-    integer_nullspace,
     integer_tuples,
-    is_zero_vec,
     normalize_primitive,
     nullspace,
     rat_str,
@@ -145,7 +142,7 @@ def _feasible_blocks(
         return tuple(map(sub, cols[i], cols[j]))
     constraints = [diff(j, block[0]) for block in blocks for j in block[1:]]
     # with no equalities, a zero row gives the standard basis
-    basis = integer_nullspace(constraints or [(0,) * rows])
+    basis = nullspace(constraints or [(0,) * rows])
     if not basis:
         return None  # only alpha = 0 satisfies the equalities
     leaders = [block[0] for block in blocks]
@@ -299,7 +296,7 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
     witnesses: dict[int, Vec] = {}
     for a in chain(integer_tuples(m.rows, max_shell=max_norm), extra):
         a = vec(a)
-        if not is_zero_vec(a) and (mu := multiplicity(m, a)) not in witnesses:
+        if any(a) and (mu := multiplicity(m, a)) not in witnesses:
             witnesses[mu] = normalize_primitive(a)
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
 
@@ -311,26 +308,23 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
 def collapse(m: RatMatrix, cols: Sequence[int]) -> tuple[Vec, Fraction]:
     """Nonzero alpha making a^T M constant on the chosen m.rows columns.
 
-    Independent chosen columns: solve against the all-ones target (common
-    value 1 before normalization). Dependent columns: take a kernel vector,
-    common value 0. Returns (alpha, gamma) with alpha integer-primitive and
-    gamma recomputed after normalization.
+    When the chosen columns fix alpha by c.alpha = 1 for each of them, take
+    that alpha (common value 1 before normalization); otherwise take the
+    first nullspace vector of the chosen columns, common value 0. Both are
+    found on the integer columns. Returns (alpha, gamma) with alpha
+    integer-primitive and gamma recomputed after normalization.
     """
     chosen = sorted(set(int(c) for c in cols))
     if len(chosen) != m.rows:
         raise ShapeError(f"need exactly {m.rows} distinct column indices")
     if chosen[0] < 0 or chosen[-1] >= m.cols:
         raise ShapeError("column index out of range")
-    sub = RatMatrix(tuple(tuple(m.entries[i][j] for j in chosen) for i in range(m.rows)))
-    if sub.rank() == m.rows:
-        sol = solve_affine(sub.transpose(), [Fraction(1)] * m.rows)
-        if sol is None or not sol.is_unique:
-            raise InternalError("collapse: full-rank system has no unique solution")
-        alpha = sol.point
-    else:
-        alpha = nullspace(sub.transpose())[0]
+    int_cols = _integer_columns(m)
+    rows = [int_cols[j] for j in chosen]
+    sol = solve_affine(rows, [1] * m.rows)
+    alpha = sol.point if sol is not None and not sol.basis else nullspace(rows)[0]
     alpha = normalize_primitive(alpha)
-    gamma = dot(alpha, m.col(chosen[0]))
+    gamma = sum(map(mul, alpha, m.col(chosen[0])), Fraction(0))
     if multiplicity(m, alpha) > m.cols - m.rows + 1:
         raise InternalError("collapse: witness separates more than N - rows + 1 values")
     return alpha, gamma
@@ -369,13 +363,9 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
             raise InternalError("distinct columns admit no separating direction")
     else:
         k = min(d + 2, m.cols)
-        cols = m.columns()
-        constraints = [
-            tuple(a - b for a, b in zip(cols[j], cols[0])) for j in range(1, k)
-        ]
+        constraints = [tuple(map(sub, int_cols[j], int_cols[0])) for j in range(1, k)]
         # N == 1: a zero row, whose first nullspace vector is e_0
-        zero = [(Fraction(0),) * m.rows]
-        alpha = normalize_primitive(nullspace(RatMatrix(tuple(constraints or zero)))[0])
+        alpha = normalize_primitive(nullspace(constraints or [(0,) * m.rows])[0])
     w = RefutationWitness(alpha, multiplicity(m, alpha), n, d)
     if not w.escapes:
         raise InternalError(f"refute_interval: witness count {w.multiplicity} "

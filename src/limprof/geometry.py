@@ -115,16 +115,6 @@ def collinear(config: PointConfig) -> bool:
     return _collinear(_integer_points(config))
 
 
-def direction_classes(config: PointConfig, direction: Direction) -> int:
-    """Number of lines parallel to ``direction`` needed to cover the points."""
-    return _classes(_integer_points(config), direction.a, direction.b)
-
-
-def pair_directions(config: PointConfig) -> list[Direction]:
-    """All directions determined by two distinct points, sorted canonically."""
-    return [Direction(a, b) for a, b in _directions(_integer_points(config))]
-
-
 def _search(pts: list[tuple[int, int]]) -> tuple[Direction, int]:
     """pinchasi_search on the integer points of a non-collinear config."""
     best: tuple[tuple[int, int], int] | None = None

@@ -1,24 +1,15 @@
-"""Exact rational linear algebra with deterministic pivoting and point search.
+"""Exact linear algebra on integer rows, with deterministic pivoting and
+point search.
 
-Inputs are rationals: ints or ``fractions.Fraction`` (canonical p/q,
-reduced, positive denominator). Results are Fractions, so every result is
-exact and reproducible bit for bit, except where an integer variant says
-otherwise. Inside, elimination and the point search run on Python ints:
-each row (or vector) is scaled once by the lcm of its denominators, which
-changes neither the pivots, the reduced row echelon form nor which
-functionals vanish, and only the entries a caller reads are turned back
-into Fractions.
-
-Integer variants, for callers that already hold integer rows:
-
-* ``integer_nullspace`` returns ``nullspace``'s standard basis times one
-  common positive multiplier, the least that makes every entry an integer,
-  as int tuples; ``nullspace`` and ``solve_affine`` divide the same integer
-  basis by that multiplier. A common positive multiplier changes no
-  vanishing test and no sign.
-* ``generic_point`` returns ints when the point and the basis of its space
-  are ints, and Fractions otherwise; the search and the accepted tuple are
-  the same either way.
+The solvers take integer rows and return integers: ``nullspace`` gives the
+standard basis times its least common positive multiplier, ``solve_affine``
+a point and a basis over one common positive multiplier, and
+``generic_point`` an integer point. A positive multiplier changes no pivot,
+no vanishing test and no sign, so callers scale rational data to integers
+once (``integer_multiple``, or M times one common denominator) and read
+exact answers. ``Fraction``s appear only at the edges: ``rat`` and ``vec``
+read them, ``RatMatrix`` stores them, and ``normalize_primitive`` returns
+its primitive integer vector as Fractions.
 
 Determinism contracts:
 
@@ -41,10 +32,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InternalError, ShapeError, UnavoidableError, ZeroDirectionError
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
-
-_ZERO = Fraction(0)
+IntVec = tuple[int, ...]
 
 
 def rat(x) -> Fraction:
@@ -78,24 +67,6 @@ def rat_str(x: Fraction) -> str:
 
 def vec(xs: Iterable) -> Vec:
     return tuple(rat(x) for x in xs)
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ShapeError(f"dot: length mismatch {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
-def is_zero_vec(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
 
 
 @dataclass(frozen=True)
@@ -132,28 +103,6 @@ class RatMatrix:
 
     def columns(self) -> list[Vec]:
         return [self.col(j) for j in range(self.cols)]
-
-    def transpose(self) -> "RatMatrix":
-        return RatMatrix(tuple(self.col(j) for j in range(self.cols)))
-
-    def mul_vec(self, x: Sequence[Fraction]) -> Vec:
-        return tuple(dot(r, x) for r in self.entries)
-
-    def left_mul_vec(self, a: Sequence[Fraction]) -> Vec:
-        """Row vector times matrix: a^T M."""
-        if len(a) != self.rows:
-            raise ShapeError("left_mul_vec: length != row count")
-        return tuple(dot(a, self.col(j)) for j in range(self.cols))
-
-    def matmul(self, other: "RatMatrix") -> "RatMatrix":
-        if self.cols != other.rows:
-            raise ShapeError("matmul: inner dimension mismatch")
-        return RatMatrix(
-            tuple(
-                tuple(dot(self.row(i), other.col(j)) for j in range(other.cols))
-                for i in range(self.rows)
-            )
-        )
 
     def rank(self) -> int:
         return len(_eliminate([integer_multiple(r) for r in self.entries]))
@@ -209,7 +158,7 @@ def _eliminate(rows: list[list[int]]) -> list[int]:
     return piv_cols
 
 
-def _basis(rows: list[list[int]], pivots: list[int], n: int) -> tuple[list[tuple[int, ...]], int]:
+def _basis(rows: list[list[int]], pivots: list[int], n: int) -> tuple[list[IntVec], int]:
     """Standard nullspace basis of the first ``n`` columns of rows that
     ``_eliminate`` returned ``pivots`` for, times its least common positive
     multiplier ``mult``, which is returned too.
@@ -233,10 +182,11 @@ def _basis(rows: list[list[int]], pivots: list[int], n: int) -> tuple[list[tuple
     return basis, mult
 
 
-def integer_nullspace(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """``nullspace`` of integer rows (at least one) as ints: the same
-    standard basis times one common positive multiplier, the least that
-    makes every entry an integer."""
+def nullspace(rows: Sequence[Sequence[int]]) -> list[IntVec]:
+    """Basis of {x : A x = 0} for integer rows A (at least one), one vector
+    per free column in increasing order: the standard basis times one
+    common positive multiplier, the least that makes every entry an
+    integer."""
     work = [list(r) for r in rows]
     return _basis(work, _eliminate(work), len(work[0]))[0]
 
@@ -248,61 +198,38 @@ def rank_of_vectors(vectors: Sequence[Sequence[Fraction]]) -> int:
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Solution set written as a particular point plus a direction basis.
+    """The points (point + sum of t_i * basis_i) / mult for rational t_i:
+    an integer point and direction basis over one common positive
+    multiplier. An empty basis means the subspace is a single point."""
 
-    An empty basis means the subspace is a single point.
-    """
-
-    point: Vec
-    basis: tuple[Vec, ...]
-
-    @property
-    def is_unique(self) -> bool:
-        return not self.basis
+    point: IntVec
+    basis: tuple[IntVec, ...]
+    mult: int = 1
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def parameter_point(self, params: Sequence[int]) -> Vec:
-        p = self.point
-        for t, b in zip(params, self.basis):
-            if t:
-                p = vadd(p, vscale(Fraction(t), b))
-        return p
 
+def solve_affine(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> AffineSubspace | None:
+    """Solution set of A x = b for integer rows A (at least one) and an
+    integer b, or None when the system has no solution.
 
-def solve_affine(a: RatMatrix, b: Sequence[Fraction]) -> AffineSubspace | None:
-    """Exact solution set of A x = b, or None when the system is infeasible.
-
-    The particular point sets every free variable to zero; the direction
-    basis is the standard nullspace basis with free columns in increasing
-    order. Both are deterministic.
+    x solves it exactly when (x, 1) is in the nullspace of the rows [r | -b].
+    So the system is solvable when the last column has no pivot; its basis
+    vector is then (point, 1) times the multiplier, where the point sets
+    every free variable to zero, and the other basis vectors end in 0 and
+    give the directions. Both are deterministic.
     """
-    if len(b) != a.rows:
-        raise ShapeError(f"solve_affine: got {len(b)} rhs entries for {a.rows} rows")
-    n = a.cols
-    rows = [integer_multiple((*r, rat(x))) for r, x in zip(a.entries, b)]
-    pivots = _eliminate(rows)
+    if len(rhs) != len(rows):
+        raise ShapeError(f"solve_affine: got {len(rhs)} rhs entries for {len(rows)} rows")
+    n = len(rows[0])
+    work = [[*r, -x] for r, x in zip(rows, rhs)]
+    pivots = _eliminate(work)
     if n in pivots:
         return None
-    point = [_ZERO] * n
-    for row, pc in zip(rows, pivots):
-        if row[n]:
-            point[pc] = Fraction(row[n], row[pc])
-    basis, mult = _basis(rows, pivots, n)
-    return AffineSubspace(
-        tuple(point),
-        tuple(tuple(Fraction(x, mult) if x else _ZERO for x in v) for v in basis),
-    )
-
-
-def nullspace(a: RatMatrix) -> tuple[Vec, ...]:
-    """Deterministic basis of {x : A x = 0}; count = cols - rank."""
-    sol = solve_affine(a, [Fraction(0)] * a.rows)
-    if sol is None:
-        raise InternalError("nullspace: homogeneous system reported inconsistent")
-    return sol.basis
+    (*directions, point), mult = _basis(work, pivots, n + 1)
+    return AffineSubspace(point[:n], tuple(v[:n] for v in directions), mult)
 
 
 def _scalars_up_to(s: int) -> list[int]:
@@ -334,33 +261,23 @@ def integer_tuples(dim: int, max_shell: int = 1000) -> Iterator[tuple[int, ...]]
                 yield t
 
 
-def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = ()) -> Vec:
-    """First point of ``space`` (in enumeration order) off every functional.
+def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[int]] = ()) -> IntVec:
+    """First point of ``space`` (in enumeration order) off every functional,
+    as ints in the space's scale: point + sum of t_i * basis_i, to be read
+    over ``space.mult``.
 
-    ``avoid`` holds linear functionals on the ambient space, each required to
-    be nonzero at the returned point. A functional identically zero on the
-    whole subspace can never be avoided: that raises UnavoidableError. When
-    the point and the basis of ``space`` are ints, so is the result.
+    ``avoid`` holds integer linear functionals on the ambient space, each
+    required to be nonzero at the returned point. A functional identically
+    zero on the whole subspace can never be avoided: that raises
+    UnavoidableError.
     """
-    vs = (space.point, *space.basis)
-    ints = all(type(x) is int for v in vs for x in v)
-    if ints:
-        point, *basis = vs
-    else:
-        # One common multiplier for the point and the basis, one per
-        # functional: each value below is a nonzero integer multiple of the
-        # rational one.
-        mult = lcm(*(x.denominator for v in vs for x in v))
-        point, *basis = ([x.numerator * (mult // x.denominator) for x in v] for v in vs)
+    point, basis = space.point, space.basis
     centred = not any(point)
-    int_avoid = all(type(x) is int for f in avoid for x in f)
     dim = space.dim
     due: list[list] = [[] for _ in range(dim + 1)]  # by last nonzero coefficient
     for f in avoid:
         if len(f) != len(point):
             raise ShapeError("generic_point: functional has wrong length")
-        if not int_avoid:
-            f = integer_multiple(f)
         c0 = 0 if centred else sum(map(mul, f, point))
         cs = [sum(map(mul, f, v)) for v in basis]
         last = max((q + 1 for q, c in enumerate(cs) if c), default=0)
@@ -384,8 +301,6 @@ def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[Fraction]] = (
 
     for s in range(1001):  # the shells of integer_tuples
         if extend(0, s, s == 0):
-            if not ints:
-                return space.parameter_point(t)
             out = tuple(point)
             for x, v in zip(t, basis):
                 if x:

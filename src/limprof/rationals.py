@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterator
 
 
 class UnitRationalTable:
@@ -55,15 +54,6 @@ class UnitRationalTable:
             stop = min(len(a), done + count - len(nums))
             nums += a[done:stop]
             dens += map(add, a[done:stop], b[done:stop])
-
-
-def unit_rationals() -> Iterator[Fraction]:
-    """Rationals in (0, 1), each exactly once: 1/2, 1/3, 2/3, 1/4, 3/5, ..."""
-    table = UnitRationalTable()
-    while True:
-        start = len(table.nums)
-        table.extend_to(2 * start + 1)
-        yield from map(Fraction, table.nums[start:], table.dens[start:])
 
 
 def first_unit_rationals(count: int) -> tuple[Fraction, ...]:

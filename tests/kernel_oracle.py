@@ -3,15 +3,45 @@ sets and point search done in Fraction arithmetic, as the kernel once did.
 
 - ``rref_oracle`` is Gauss-Jordan on Fractions with the kernel's pivot rule.
 - ``solve_affine_oracle`` and ``nullspace_oracle`` read the point and the
-  standard basis off that reduced form.
+  standard basis off that reduced form, as Fractions.
 - ``generic_point_oracle`` walks ``integer_tuples`` in order and tests each
   point in Fractions.
+- ``dot``, ``RationalSpace.parameter_point``, ``left_mul_vec`` and
+  ``matmul`` are the Fraction vector and matrix arithmetic the oracles and
+  the tests share.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from limprof.errors import InternalError, ShapeError, UnavoidableError
-from limprof.kernel import AffineSubspace, RatMatrix, dot, integer_tuples, rat
+from limprof.kernel import RatMatrix, integer_tuples, rat
+
+FracVec = tuple[Fraction, ...]
+
+
+def dot(u, v) -> Fraction:
+    if len(u) != len(v):
+        raise ShapeError(f"dot: length mismatch {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+@dataclass(frozen=True)
+class RationalSpace:
+    """A Fraction point plus a Fraction direction basis."""
+
+    point: FracVec
+    basis: tuple[FracVec, ...]
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def parameter_point(self, params) -> FracVec:
+        p = self.point
+        for t, b in zip(params, self.basis):
+            p = tuple(x + t * y for x, y in zip(p, b))
+        return p
 
 
 def rref_oracle(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -46,8 +76,10 @@ def rref_oracle(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[
     return rows, piv_cols
 
 
-def solve_affine_oracle(a: RatMatrix, b) -> AffineSubspace | None:
-    """``solve_affine`` read off ``rref_oracle`` of the augmented rows."""
+def solve_affine_oracle(a: RatMatrix, b) -> RationalSpace | None:
+    """The solution set of A x = b read off ``rref_oracle`` of the augmented
+    rows: the point sets every free variable to zero, the basis is the
+    standard nullspace basis. None when there is no solution."""
     if len(b) != a.rows:
         raise ShapeError("solve_affine_oracle: rhs length != row count")
     n = a.cols
@@ -64,14 +96,18 @@ def solve_affine_oracle(a: RatMatrix, b) -> AffineSubspace | None:
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][fc]
         basis.append(tuple(v))
-    return AffineSubspace(tuple(point), tuple(basis))
+    return RationalSpace(tuple(point), tuple(basis))
 
 
-def nullspace_oracle(a: RatMatrix) -> tuple[tuple[Fraction, ...], ...]:
+def nullspace_oracle(a: RatMatrix) -> tuple[FracVec, ...]:
     return solve_affine_oracle(a, [Fraction(0)] * a.rows).basis
 
 
-def generic_point_oracle(space: AffineSubspace, avoid) -> tuple[Fraction, ...]:
+def rank_oracle(a: RatMatrix) -> int:
+    return len(rref_oracle([list(r) for r in a.entries])[1])
+
+
+def generic_point_oracle(space: RationalSpace, avoid) -> FracVec:
     """First tuple of ``integer_tuples`` whose point avoids every functional,
     with every value computed in Fractions."""
     reduced = []
@@ -86,3 +122,16 @@ def generic_point_oracle(space: AffineSubspace, avoid) -> tuple[Fraction, ...]:
                for c0, cs in reduced):
             return space.parameter_point(t)
     raise InternalError("exhausted search shells")
+
+
+def left_mul_vec(m: RatMatrix, a) -> FracVec:
+    """Row vector times matrix, a^T M, in Fractions."""
+    if len(a) != m.rows:
+        raise ShapeError("left_mul_vec: length != row count")
+    return tuple(dot(a, m.col(j)) for j in range(m.cols))
+
+
+def matmul(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    if a.cols != b.rows:
+        raise ShapeError("matmul: inner dimension mismatch")
+    return RatMatrix(tuple(tuple(dot(r, b.col(j)) for j in range(b.cols)) for r in a.entries))

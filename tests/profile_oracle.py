@@ -1,12 +1,12 @@
-"""Reference implementations of the multiplicity profile, for tests only.
+"""Reference implementations of the multiplicity profile, collapse and
+interval refutation, for tests only.
 
-These are the two algorithms ``limprof.engine.profile`` replaced, kept as
-slow exact oracles, and the Fraction witness search they share:
+These are the algorithms ``limprof.engine`` replaced, kept as slow exact
+oracles, and the Fraction witness search they share:
 
 - ``feasible_blocks`` is the engine's ``_feasible_blocks`` as it once was:
-  column differences, the nullspace and the point search in Fractions.
-  It reaches the kernel through this module's ``nullspace`` and
-  ``generic_point``, so a test may swap in ``kernel_oracle``'s.
+  column differences, the nullspace and the point search in Fractions,
+  through ``kernel_oracle``'s Fraction elimination and point walk.
 - ``profile_by_patterns`` enumerates every set partition of the columns
   (Bell(N) of them) and decides each with ``feasible_blocks``; the witness
   of a count is the lexicographically first feasible restricted growth
@@ -15,25 +15,35 @@ slow exact oracles, and the Fraction witness search they share:
   nonzero direction either separates all columns or is proportional to the
   normal of some column difference. The witness of a count is the normal of
   the first pair that gives it, and a generic direction for count N.
+- ``collapse_oracle`` and ``refute_oracle`` are ``collapse`` and
+  ``refute_interval`` as they once were: the chosen columns' transpose
+  solved against the all-ones target (or its first nullspace vector), and
+  the first column differences' nullspace, all in Fractions.
 
-``profile_oracle`` dispatches between them by row count, as ``profile``
-once did, so its output must equal ``profile``'s, witnesses included.
+``profile_oracle`` dispatches between the two profiles by row count, as
+``profile`` once did, so its output must equal ``profile``'s, witnesses
+included.
 """
 
 from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
-from limprof.engine import MultiplicityProfile, multiplicity
-from limprof.errors import UnavoidableError
-from limprof.kernel import (
-    AffineSubspace,
-    RatMatrix,
-    Vec,
-    generic_point,
-    normalize_primitive,
-    nullspace,
-    vec,
+from kernel_oracle import (
+    RationalSpace,
+    dot,
+    generic_point_oracle,
+    nullspace_oracle,
+    rank_oracle,
+    solve_affine_oracle,
 )
+from limprof.engine import MultiplicityProfile, RefutationWitness, multiplicity
+from limprof.errors import (
+    DuplicateColumnsError,
+    ShapeError,
+    TooFewRowsError,
+    UnavoidableError,
+)
+from limprof.kernel import RatMatrix, Vec, normalize_primitive, vec
 
 BELL_LIMIT = 8
 
@@ -46,7 +56,7 @@ def feasible_blocks(cols: Sequence[Vec], blocks: Sequence[Sequence[int]]) -> Vec
     def diff(i: int, j: int) -> Vec:
         return tuple(Fraction(a - b) for a, b in zip(cols[i], cols[j]))
     constraints = [diff(j, block[0]) for block in blocks for j in block[1:]]
-    basis = nullspace(RatMatrix(tuple(constraints or [(Fraction(0),) * rows])))
+    basis = nullspace_oracle(RatMatrix(tuple(constraints or [(Fraction(0),) * rows])))
     if not basis:
         return None
     leaders = [block[0] for block in blocks]
@@ -54,7 +64,7 @@ def feasible_blocks(cols: Sequence[Vec], blocks: Sequence[Sequence[int]]) -> Vec
     if not cross:
         return normalize_primitive(basis[0])
     try:
-        alpha = generic_point(AffineSubspace((Fraction(0),) * rows, basis), cross)
+        alpha = generic_point_oracle(RationalSpace((Fraction(0),) * rows, basis), cross)
     except UnavoidableError:
         return None
     return normalize_primitive(alpha)
@@ -131,3 +141,36 @@ def profile_by_census(m: RatMatrix) -> MultiplicityProfile:
 
 def profile_oracle(m: RatMatrix) -> MultiplicityProfile:
     return profile_by_census(m) if m.rows <= 2 else profile_by_patterns(m)
+
+
+def collapse_oracle(m: RatMatrix, cols: Sequence[int]) -> tuple[Vec, Fraction]:
+    chosen = sorted(set(int(c) for c in cols))
+    if len(chosen) != m.rows:
+        raise ShapeError(f"need exactly {m.rows} distinct column indices")
+    if chosen[0] < 0 or chosen[-1] >= m.cols:
+        raise ShapeError("column index out of range")
+    transpose = RatMatrix(tuple(m.col(j) for j in chosen))
+    if rank_oracle(transpose) == m.rows:
+        alpha = solve_affine_oracle(transpose, [Fraction(1)] * m.rows).point
+    else:
+        alpha = nullspace_oracle(transpose)[0]
+    alpha = normalize_primitive(alpha)
+    return alpha, dot(alpha, m.col(chosen[0]))
+
+
+def refute_oracle(m: RatMatrix, n: int, d: int) -> RefutationWitness:
+    if n < 2 or d < 0:
+        raise ShapeError("need n >= 2 and d >= 0")
+    if m.rows < d + 2:
+        raise TooFewRowsError(f"need at least d+2 = {d + 2} rows, got {m.rows}")
+    cols = m.columns()
+    if len(set(cols)) != len(cols):
+        raise DuplicateColumnsError("duplicate columns")
+    if m.cols > n + d:
+        alpha = feasible_blocks(cols, [(j,) for j in range(m.cols)])
+    else:
+        k = min(d + 2, m.cols)
+        constraints = [tuple(a - b for a, b in zip(cols[j], cols[0])) for j in range(1, k)]
+        zero = [(Fraction(0),) * m.rows]
+        alpha = normalize_primitive(nullspace_oracle(RatMatrix(tuple(constraints or zero)))[0])
+    return RefutationWitness(alpha, len({dot(alpha, c) for c in cols}), n, d)

@@ -11,7 +11,6 @@ from limprof.builders import (
     generic_vectors,
     independent_family,
     interval_space,
-    nonconvergent_span,
     odd_space,
     polygon_space,
     spaceable_rows,
@@ -230,6 +229,15 @@ def test_indexed_pieces_match_the_atom_scan():
                 assert fam.piece(g, sign) == scan_piece(fam, g, sign), (fam, g, sign)
         with pytest.raises(ShapeError):
             fam.piece(fam.k, 0)
+
+
+def nonconvergent_span(k: int) -> RatMatrix:
+    """k x 2^k indicator rows over the {0,1}^k atoms: row g is 1 exactly on
+    the atoms whose g-th coordinate is 1. Every nonzero combination attains
+    0 (the all-zero atom) and its first nonzero coefficient (a basis atom),
+    so no nonzero element of the span converges."""
+    atoms = independent_family(k, split=2).atoms
+    return RatMatrix.from_rows([[a[g] for a in atoms] for g in range(k)])
 
 
 def test_nonconvergent_span():

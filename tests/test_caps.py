@@ -12,7 +12,8 @@ The edges come from each cap's definition:
   count where the walk is slowest (``PROFILE_EDGE_ROWS``, measured over 2..12
   rows), and a matrix with one more column.
 - ``ODD_CAP`` admits ``construct odd --k`` up to ODD_CAP: k == ODD_CAP and
-  k == ODD_CAP + 1.
+  k == ODD_CAP + 1. ``verify`` of an odd certificate refuses a k past the
+  cap (exit 3) and a matrix that is not k x 3^k (exit 2) before any work.
 - ``FAMILY_CAP`` admits ``construct independent`` while split^k <=
   FAMILY_CAP: for each split, the largest such k and k + 1.
 - ``POLYGON_CAP`` admits ``construct polygon --n`` up to POLYGON_CAP:
@@ -26,10 +27,13 @@ import json
 import random
 import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 import limprof.builders as builders
+import limprof.certificates as certificates
 import limprof.cli as cli
 import limprof.engine as engine
 from limprof.builders import (
@@ -178,6 +182,44 @@ def test_odd_cap_is_checked_before_the_sign_vectors(monkeypatch):
     monkeypatch.setattr(builders, "product", no_build)
     with pytest.raises(TooLargeError):
         odd_space(ODD_CAP + 1)
+
+
+def crafted_odd_certificate(path: Path, k: int, rows: int, cols: int) -> None:
+    """The golden odd-2 certificate with params.k = k and a rows x cols
+    0/1 matrix, ones on the diagonal."""
+    golden = Path(__file__).parent / "data" / "golden" / "odd-2.cert.json"
+    cert = json.loads(golden.read_text())
+    cert["params"]["k"] = k
+    cert["inputs"]["matrix"] = {
+        "rows": rows, "cols": cols,
+        "entries": [["1" if i == j else "0" for j in range(cols)] for i in range(rows)],
+    }
+    path.write_text(json.dumps(cert))
+
+
+ODD_VERIFY_REFUSALS = [
+    (14, 14, 13, 3, "too-large"),  # k past ODD_CAP
+    (3, 3, 20_000, 2, "shape"),  # not k x 3^k: a 300 KB file
+]
+
+
+@pytest.mark.parametrize("k, rows, cols, code, error", ODD_VERIFY_REFUSALS)
+def test_verify_odd_certificate_refuses_cap_and_shape_first(k, rows, cols, code, error,
+                                                             tmp_path, monkeypatch, capsys):
+    cert = tmp_path / "odd.cert.json"
+    crafted_odd_certificate(cert, k, rows, cols)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("odd payload started work before its checks")
+
+    monkeypatch.setattr(certificates, "profile", no_work)
+    monkeypatch.setattr(certificates, "multiplicity", no_work)
+    start = time.perf_counter()
+    assert cli.main(["verify", str(cert)]) == code
+    assert time.perf_counter() - start < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == error
+    assert list(tmp_path.iterdir()) == [cert]
 
 
 def family_edge(split):

@@ -1,5 +1,4 @@
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from limprof.engine import (
 )
 from limprof.errors import (
     DuplicateColumnsError,
+    LimprofError,
     ShapeError,
     TooFewRowsError,
     TooLargeError,
@@ -29,14 +29,15 @@ from limprof.errors import (
 from limprof.kernel import RatMatrix, vec
 from limprof.sequences import InfinitudeRelation, combine, step_sequence
 
-import profile_oracle as oracle
-from kernel_oracle import generic_point_oracle, nullspace_oracle
+from kernel_oracle import left_mul_vec, matmul
 from profile_oracle import (
+    collapse_oracle,
     feasible_blocks,
     profile_by_census,
     profile_by_patterns,
     profile_from_json,
     profile_oracle,
+    refute_oracle,
     set_partitions,
 )
 
@@ -72,7 +73,7 @@ def test_pattern_feasible_examples():
     alpha = _feasible_blocks(_integer_columns(M23), [(0, 1), (2,)])
     assert alpha is not None
     # within-block equality and cross-block distinctness
-    row = M23.left_mul_vec(alpha)
+    row = left_mul_vec(M23, alpha)
     assert row[0] == row[1] != row[2]
     assert _feasible_blocks(_integer_columns(M23), [(0, 1, 2)]) is None
     single = RatMatrix.from_rows([[1, 2]])
@@ -132,7 +133,7 @@ def test_collapse_examples():
     alpha, gamma = collapse(RatMatrix.from_rows([[1, 2, 3], [4, 5, 7]]), (0, 1))
     assert alpha == (Fraction(1), Fraction(-1)) and gamma == Fraction(-3)
     alpha, gamma = collapse(RatMatrix.from_rows([[1, 1], [2, 3]]), (0, 1))
-    row = RatMatrix.from_rows([[1, 1], [2, 3]]).left_mul_vec(alpha)
+    row = left_mul_vec(RatMatrix.from_rows([[1, 1], [2, 3]]), alpha)
     assert row[0] == row[1] == gamma
     alpha, gamma = collapse(RatMatrix.from_rows([[0, 0], [1, 1]]), (0, 1))
     assert alpha == (Fraction(1), Fraction(0)) and gamma == Fraction(0)
@@ -150,7 +151,7 @@ def test_collapse_postcondition(rows):
     m = RatMatrix.from_rows(rows)
     cols = tuple(range(m.rows))
     alpha, gamma = collapse(m, cols)
-    combo = m.left_mul_vec(alpha)
+    combo = left_mul_vec(m, alpha)
     assert all(combo[j] == gamma for j in cols)
     assert multiplicity(m, alpha) <= m.cols - m.rows + 1
 
@@ -223,7 +224,7 @@ def test_profile_basis_change_invariance():
             continue
         trials += 1
         gm = RatMatrix.from_rows(g)
-        assert profile(gm.matmul(M23)).achieved == profile(M23).achieved
+        assert profile(matmul(gm, M23)).achieved == profile(M23).achieved
 
 
 def test_census_matches_pattern_enumeration():
@@ -262,16 +263,6 @@ def test_sample_profile_is_lower_bound():
         assert m.cols in sampled.achieved  # generic direction always sampled
 
 
-@contextmanager
-def fraction_kernel():
-    """The oracles' nullspace and point search on Fraction elimination and
-    a plain walk over ``integer_tuples``, sharing no code with the kernel's."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "nullspace", nullspace_oracle)
-        mp.setattr(oracle, "generic_point", generic_point_oracle)
-        yield
-
-
 def test_pattern_witnesses_match_fraction_oracle():
     """The integer witness search must reproduce every witness of the
     Fraction oracles on rational matrices."""
@@ -282,9 +273,7 @@ def test_pattern_witnesses_match_fraction_oracle():
         rows, n_cols = rng.randint(2, 4), rng.randint(2, 6)
         cols = sorted({tuple(rng.choice(entries) for _ in range(rows)) for _ in range(n_cols)})
         matrices.append(RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)]))
-    fast = [profile(m) for m in matrices]
-    with fraction_kernel():
-        assert [profile_oracle(m) for m in matrices] == fast
+    assert [profile_oracle(m) for m in matrices] == [profile(m) for m in matrices]
 
 
 @st.composite
@@ -310,10 +299,9 @@ def test_feasible_blocks_matches_fraction_oracle(case):
     """Same witness, or None for the same infeasible partitions."""
     m, blocks = case
     fast = _feasible_blocks(_integer_columns(m), blocks)
-    with fraction_kernel():
-        assert fast == feasible_blocks(m.columns(), blocks)
+    assert fast == feasible_blocks(m.columns(), blocks)
     if fast is not None:
-        values = m.left_mul_vec(fast)
+        values = left_mul_vec(m, fast)
         assert all(len({values[j] for j in b}) == 1 for b in blocks)
         assert len({values[b[0]] for b in blocks}) == len(blocks)
 
@@ -338,3 +326,44 @@ def test_profile_matches_oracle(values):
         n_cols = rng.randint(1, min(7, len(values) ** rows))
         m = _random_matrix(rng, rows, n_cols, values)
         assert profile(m).to_json() == profile_oracle(m).to_json(), m.entries
+
+
+# entries -4..4 over denominators 1, 2, 3 and 6
+SMALL_RATIONALS = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3, 6)})
+
+
+@st.composite
+def collapse_cases(draw):
+    """A 1-4 row matrix with 1-7 columns (repeats allowed), m.rows column
+    indices when there are that many columns, and an interval (n, d) that
+    refute admits (d + 2 <= rows) unless there is one row."""
+    rows, n_cols = draw(st.integers(1, 4)), draw(st.integers(1, 7))
+    entry = st.sampled_from(SMALL_RATIONALS)
+    m = RatMatrix.from_rows(draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols),
+                                          min_size=rows, max_size=rows)))
+    chosen = draw(st.lists(st.integers(0, n_cols - 1), min_size=rows, max_size=rows,
+                           unique=True)) if n_cols >= rows else None
+    return m, chosen, draw(st.integers(2, 6)), draw(st.integers(0, max(rows - 2, 0)))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LimprofError as e:
+        return type(e)
+
+
+@given(collapse_cases())
+@settings(max_examples=300, deadline=None)
+def test_collapse_and_refute_match_fraction_oracle(case):
+    """The integer collapse and refute give the Fraction oracles' alpha,
+    gamma and multiplicity, and fail with the same error where they fail."""
+    m, chosen, n, d = case
+    if chosen is not None:
+        got = collapse(m, chosen)
+        assert got == collapse_oracle(m, chosen)
+        alpha, gamma = got
+        values = left_mul_vec(m, alpha)
+        assert {values[j] for j in chosen} == {gamma}
+        assert multiplicity(m, alpha) == len(set(values))
+    assert _outcome(refute_interval, m, n, d) == _outcome(refute_oracle, m, n, d)

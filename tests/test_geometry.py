@@ -10,16 +10,27 @@ from limprof.geometry import (
     PointConfig,
     approx_direction_census,
     approx_regular_polygon,
+    _classes,
+    _directions,
+    _integer_points,
     collinear,
-    direction_classes,
     escape,
-    pair_directions,
     pinchasi_search,
 )
 from limprof.kernel import normalize_primitive, rat
 from limprof.sequences import InfinitudeRelation, combine, step_sequence
 
 SQUARE = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
+
+
+def pair_directions(config: PointConfig) -> list[Direction]:
+    """All directions determined by two distinct points, sorted canonically."""
+    return [Direction(a, b) for a, b in _directions(_integer_points(config))]
+
+
+def direction_classes(config: PointConfig, direction: Direction) -> int:
+    """Number of lines parallel to ``direction`` needed to cover the points."""
+    return _classes(_integer_points(config), direction.a, direction.b)
 
 
 def direction_of(dx, dy):

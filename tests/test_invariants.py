@@ -1,6 +1,6 @@
 """Invariants the package guarantees are checked with typed errors, never
 with ``assert``: ``python -O`` strips asserts, and a check that can vanish
-cannot decide a claim."""
+cannot decide a claim. The public API is what something uses."""
 
 import ast
 from pathlib import Path
@@ -13,6 +13,7 @@ from limprof.errors import InternalError
 from limprof.kernel import RatMatrix
 
 PACKAGE = Path(limprof.__file__).parent
+ROOT = PACKAGE.parent.parent
 
 
 def test_no_assert_statements_in_the_package():
@@ -37,3 +38,21 @@ def test_refute_witness_that_does_not_escape_raises(monkeypatch):
     monkeypatch.setattr(engine, "multiplicity", lambda mat, alpha: 2)
     with pytest.raises(InternalError):
         engine.refute_interval(m, 2, 0)
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names a module's code uses: loaded or stored names and attributes,
+    not strings or docstrings."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_name_has_a_user():
+    """Each name in ``__all__`` is used by the code of a package module
+    other than __init__, which defines ``__all__`` and only re-exports, by
+    the benchmark (perfbench/*.py, read only) or by the acceptance tests."""
+    sources = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    sources += [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*map(_referenced_names, sources))
+    assert [name for name in limprof.__all__ if name not in used] == []

@@ -1,14 +1,18 @@
 import random
 import time
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_oracle import (
+    RationalSpace,
     generic_point_oracle,
+    left_mul_vec,
+    matmul,
     nullspace_oracle,
     rref_oracle,
     solve_affine_oracle,
@@ -20,7 +24,6 @@ from limprof.kernel import (
     _eliminate,
     generic_point,
     integer_multiple,
-    integer_nullspace,
     integer_tuples,
     normalize_primitive,
     nullspace,
@@ -94,67 +97,72 @@ def test_matrix_rank():
 
 
 def test_matmul_and_mul_vec():
+    """The Fraction products the tests compute with (kernel_oracle)."""
     a = RatMatrix.from_rows([[1, 2], [3, 4]])
     b = RatMatrix.from_rows([[0, 1], [1, 0]])
-    assert a.matmul(b).entries == RatMatrix.from_rows([[2, 1], [4, 3]]).entries
-    assert a.mul_vec(vec([1, 1])) == (Fraction(3), Fraction(7))
+    assert matmul(a, b).entries == RatMatrix.from_rows([[2, 1], [4, 3]]).entries
+    assert left_mul_vec(a, vec([1, 1])) == (Fraction(4), Fraction(6))
 
 
-# solve_affine oracle: x + y = 2 has particular point (2, 0) (free variable
-# zeroed) and kernel direction (-1, 1).
+def mul_vec(rows, x) -> tuple:
+    return tuple(sum(map(mul, r, x)) for r in rows)
+
+
+# x + y = 2 has particular point (2, 0) (free variable zeroed) and kernel
+# direction (-1, 1).
 def test_solve_affine_line():
-    space = solve_affine(RatMatrix.from_rows([[1, 1]]), vec([2]))
-    assert space is not None
-    assert space.point == (Fraction(2), Fraction(0))
-    assert space.basis == ((Fraction(-1), Fraction(1)),)
-    assert not space.is_unique
+    space = solve_affine([[1, 1]], [2])
+    assert space == AffineSubspace((2, 0), ((-1, 1),), 1)
 
 
 def test_solve_affine_unique_and_infeasible():
-    a = RatMatrix.from_rows([[1, 0], [0, 2]])
-    space = solve_affine(a, vec([3, 4]))
-    assert space is not None and space.is_unique
-    assert space.point == (Fraction(3), Fraction(2))
+    space = solve_affine([[1, 0], [0, 2]], [3, 4])
+    assert space == AffineSubspace((3, 2), (), 1)
+    # x = 1/2, y = 1/3: one common multiplier 6
+    assert solve_affine([[2, 0], [0, 3]], [1, 1]) == AffineSubspace((3, 2), (), 6)
     # x + y = 0 and x + y = 1 cannot both hold
-    bad = solve_affine(RatMatrix.from_rows([[1, 1], [1, 1]]), vec([0, 1]))
-    assert bad is None
+    assert solve_affine([[1, 1], [1, 1]], [0, 1]) is None
+    # full column rank, yet x = 1, y = 1 and x + y = 1 have no solution
+    assert solve_affine([[1, 0], [0, 1], [1, 1]], [1, 1, 1]) is None
+    with pytest.raises(ShapeError):
+        solve_affine([[1, 0]], [1, 2])
 
 
 @given(
     st.lists(
-        st.lists(rationals, min_size=3, max_size=3),
+        st.lists(st.integers(-9, 9), min_size=3, max_size=3),
         min_size=2,
         max_size=4,
     ),
-    st.lists(rationals, min_size=3, max_size=3),
+    st.lists(st.integers(-9, 9), min_size=3, max_size=3),
 )
 @settings(max_examples=60, deadline=None)
 def test_solve_affine_solutions_solve(rows, x):
-    """Any consistent system is actually solved by point + any basis combo."""
-    a = RatMatrix.from_rows(rows)
-    b = a.mul_vec(vec(x))  # guaranteed consistent
-    space = solve_affine(a, b)
-    assert space is not None
-    assert a.mul_vec(space.point) == b
+    """Any consistent system is solved by the point over the multiplier,
+    and the directions solve the homogeneous one."""
+    b = mul_vec(rows, x)  # guaranteed consistent
+    space = solve_affine(rows, b)
+    assert space is not None and space.mult > 0
+    assert all(type(v) is int for v in space.point + sum(space.basis, ()))
+    assert mul_vec(rows, space.point) == tuple(space.mult * y for y in b)
     for direction in space.basis:
-        shifted = tuple(p + d for p, d in zip(space.point, direction))
-        assert a.mul_vec(shifted) == b
+        assert not any(mul_vec(rows, direction))
 
 
 @given(
     st.lists(
-        st.lists(rationals, min_size=4, max_size=4),
+        st.lists(st.integers(-9, 9), min_size=4, max_size=4),
         min_size=1,
         max_size=3,
     )
 )
 @settings(max_examples=60, deadline=None)
 def test_nullspace_annihilates(rows):
-    a = RatMatrix.from_rows(rows)
-    basis = nullspace(a)
-    assert len(basis) == a.cols - a.rank()
+    basis = nullspace(rows)
+    assert len(basis) == 4 - RatMatrix.from_rows(rows).rank()
     for v in basis:
-        assert all(x == 0 for x in a.mul_vec(v))
+        assert all(type(x) is int for x in v)
+        assert not any(mul_vec(rows, v))
 
 
 def test_integer_tuples_scalar_order():
@@ -181,20 +189,22 @@ def test_integer_tuples_2d_prefix():
 
 
 def test_generic_point_examples():
-    plane = AffineSubspace(point=vec([0, 0]), basis=(vec([1, 0]), vec([0, 1])))
+    plane = AffineSubspace(point=(0, 0), basis=((1, 0), (0, 1)))
     # avoid the functional "first coordinate = 0"
-    p = generic_point(plane, avoid=[vec([1, 0])])
-    assert p == (Fraction(1), Fraction(0))
-    diag = AffineSubspace(point=vec([0, 0]), basis=(vec([1, 1]),))
-    p = generic_point(diag, avoid=[vec([1, 0])])
-    assert p == (Fraction(1), Fraction(1))
+    p = generic_point(plane, avoid=[(1, 0)])
+    assert p == (1, 0) and all(type(x) is int for x in p)
+    diag = AffineSubspace(point=(0, 0), basis=((1, 1),))
+    assert generic_point(diag, avoid=[(1, 0)]) == (1, 1)
+    # a space over a multiplier: the point is in the space's scale
+    shifted = AffineSubspace(point=(1, 0), basis=((0, 2),), mult=2)
+    assert generic_point(shifted, avoid=[(0, 1)]) == (1, 2)
 
 
 def test_generic_point_unavoidable():
-    diag = AffineSubspace(point=vec([0, 0]), basis=(vec([1, 1]),))
+    diag = AffineSubspace(point=(0, 0), basis=((1, 1),))
     # x - y vanishes identically on the diagonal
     with pytest.raises(UnavoidableError):
-        generic_point(diag, avoid=[vec([1, -1])])
+        generic_point(diag, avoid=[(1, -1)])
 
 
 @given(
@@ -266,67 +276,14 @@ def test_rref_matches_fraction_oracle(rows):
     assert rank_of_vectors(rows) == len(expected[1])
 
 
-@_edge_examples
-@given(rational_matrices())
-@settings(max_examples=100, deadline=None)
-def test_nullspace_matches_fraction_oracle(rows):
-    a = RatMatrix.from_rows(rows)
-    assert nullspace(a) == nullspace_oracle(a)
-    assert nullspace(a.transpose()) == nullspace_oracle(a.transpose())
+def transpose(rows):
+    return [list(c) for c in zip(*rows)]
 
 
-@given(rational_matrices(), st.lists(rationals, min_size=5, max_size=5), st.booleans())
-@settings(max_examples=100, deadline=None)
-def test_solve_affine_matches_fraction_oracle(rows, x, consistent):
-    a = RatMatrix.from_rows(rows)
-    b = a.mul_vec(x[: a.cols]) if consistent else tuple(x[: a.rows])
-    assert solve_affine(a, b) == solve_affine_oracle(a, b)
-
-
-@given(rational_matrices(max_cols=4), st.data())
-@settings(max_examples=100, deadline=None)
-def test_generic_point_matches_fraction_oracle(rows, data):
-    a = RatMatrix.from_rows(rows)
-    b = a.mul_vec(data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols)))
-    space = solve_affine(a, b)
-    avoid = data.draw(st.lists(st.lists(rationals, min_size=a.cols, max_size=a.cols),
-                               max_size=4))
-    try:
-        expected = generic_point_oracle(space, avoid)
-    except UnavoidableError:
-        with pytest.raises(UnavoidableError):
-            generic_point(space, avoid)
-        return
-    assert generic_point(space, avoid) == expected
-
-
-def test_generic_point_sparse_functionals_match_fraction_oracle():
-    """Sparse functionals, as pairwise differences of {0, 1} columns are,
-    vanish on whole prefixes of the search; the pruned search must still
-    return the oracle's first point, often from shell 2 or 3."""
-    rng = random.Random(17)
-    shells = set()
-    for _ in range(150):
-        ambient = rng.randint(1, 4)
-        if rng.random() < 0.5:
-            basis = tuple(tuple(Fraction(int(i == k)) for i in range(ambient))
-                          for k in range(ambient))
-        else:
-            basis = tuple(tuple(Fraction(rng.choice((-1, 0, 0, 1, 2)))
-                                for _ in range(ambient)) for _ in range(rng.randint(0, ambient)))
-        point = tuple(Fraction(rng.choice((0, 0, 0, 1, -1))) for _ in range(ambient))
-        space = AffineSubspace(point, basis)
-        avoid = [tuple(Fraction(rng.choice((-1, 0, 0, 1))) for _ in range(ambient))
-                 for _ in range(rng.randint(0, 12))]
-        try:
-            expected = generic_point_oracle(space, avoid)
-        except UnavoidableError:
-            with pytest.raises(UnavoidableError):
-                generic_point(space, avoid)
-            continue
-        assert generic_point(space, avoid) == expected, (space, avoid)
-        shells.add(max((abs(x) for x in expected), default=0))
-    assert {2, 3} <= shells
+def scaled(space, mult: int) -> RationalSpace:
+    """An integer point and basis read over ``mult``, as Fractions."""
+    return RationalSpace(tuple(Fraction(x, mult) for x in space.point),
+                         tuple(tuple(Fraction(x, mult) for x in v) for v in space.basis))
 
 
 @st.composite
@@ -341,37 +298,92 @@ def integer_or_rational_matrices(draw):
 
 @_edge_examples
 @given(integer_or_rational_matrices())
-@settings(max_examples=100, deadline=None)
-def test_integer_nullspace_is_least_common_multiple_of_nullspace(rows):
+@settings(max_examples=150, deadline=None)
+def test_nullspace_matches_fraction_oracle(rows):
+    """The integer nullspace of the rows' integer multiples is the Fraction
+    oracle's standard basis times its least common positive multiplier, for
+    the matrix and for its transpose."""
+    for a in (rows, transpose(rows)):
+        expected = nullspace_oracle(RatMatrix.from_rows(a))
+        ints = nullspace([integer_multiple(r) for r in a])
+        assert all(type(x) is int for v in ints for x in v)
+        mult = lcm(*(x.denominator for v in expected for x in v))
+        assert ints == [tuple(x * mult for x in v) for v in expected]
+
+
+def _integer_system(rows, b):
+    """Each equation times the lcm of its denominators: the same solutions."""
+    scaled_rows = [integer_multiple((*vec(r), Fraction(x))) for r, x in zip(rows, b)]
+    return [r[:-1] for r in scaled_rows], [r[-1] for r in scaled_rows]
+
+
+@given(rational_matrices(), st.lists(rationals, min_size=5, max_size=5), st.booleans())
+@settings(max_examples=150, deadline=None)
+@example([[1, 1], [1, 1]], [0, 1, 0, 0, 0], False)  # inconsistent
+@example([[1, 0], [0, 1], [1, 1]], [1, 1, 1, 0, 0], False)  # full column rank
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1], [0, 0]],
+         [1, 3, Fraction(1, 5), 0, 0], False)  # a zero row with a nonzero rhs
+def test_solve_affine_matches_fraction_oracle(rows, x, consistent):
+    """The integer solution over its multiplier is the oracle's point and
+    basis, and None exactly when the oracle finds no solution."""
     a = RatMatrix.from_rows(rows)
-    basis = nullspace(a)
-    assert basis == nullspace_oracle(a)
-    ints = integer_nullspace([integer_multiple(r) for r in rows])
-    assert len(ints) == len(basis)
-    assert all(type(x) is int for v in ints for x in v)
-    if basis:
-        mult = lcm(*(x.denominator for v in basis for x in v))
-        assert ints == [tuple(x * mult for x in v) for v in basis]
+    b = mul_vec(a.entries, x[: a.cols]) if consistent else tuple(x[: a.rows])
+    got = solve_affine(*_integer_system(rows, b))
+    expected = solve_affine_oracle(a, b)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        assert got.mult > 0 and scaled(got, got.mult) == expected
+        values = (*got.point, *sum(got.basis, ()))
+        assert all(type(v) is int for v in values)
+        assert gcd(got.mult, *values) == 1  # the least common multiplier
 
 
-@given(integer_or_rational_matrices(), st.data())
+@given(rational_matrices(max_cols=4), st.data())
 @settings(max_examples=100, deadline=None)
-def test_generic_point_of_ints_equals_generic_point_of_fractions(rows, data):
-    """Integer point, basis and functionals give the Fraction inputs' point,
-    as ints; an unavoidable functional raises on both."""
-    ints = integer_nullspace([integer_multiple(r) for r in rows])
-    start = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows[0]),
-                               max_size=len(rows[0])))
-    avoid = data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=len(start),
-                                        max_size=len(start)), max_size=6))
-    int_space = AffineSubspace(tuple(start), tuple(ints))
-    frac_space = AffineSubspace(vec(start), tuple(vec(v) for v in ints))
+def test_generic_point_matches_fraction_oracle(rows, data):
+    """On the integer solution set of a rational system, with integer
+    multiples of rational functionals, the point over the multiplier is the
+    oracle's point on the Fraction solution set."""
+    a = RatMatrix.from_rows(rows)
+    b = mul_vec(a.entries, data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols)))
+    space = solve_affine(*_integer_system(rows, b))
+    avoid = data.draw(st.lists(st.lists(rationals, min_size=a.cols, max_size=a.cols),
+                               max_size=4))
+    int_avoid = [integer_multiple(vec(f)) for f in avoid]
     try:
-        expected = generic_point(frac_space, [vec(f) for f in avoid])
+        expected = generic_point_oracle(solve_affine_oracle(a, b), avoid)
     except UnavoidableError:
         with pytest.raises(UnavoidableError):
-            generic_point(int_space, avoid)
+            generic_point(space, int_avoid)
         return
-    got = generic_point(int_space, avoid)
-    assert got == expected and all(type(x) is int for x in got)
-    assert all(type(x) is Fraction for x in expected)
+    got = generic_point(space, int_avoid)
+    assert all(type(x) is int for x in got)
+    assert tuple(Fraction(x, space.mult) for x in got) == expected
+
+
+def test_generic_point_sparse_functionals_match_fraction_oracle():
+    """Sparse functionals, as pairwise differences of {0, 1} columns are,
+    vanish on whole prefixes of the search; the pruned search must still
+    return the oracle's first point, often from shell 2 or 3."""
+    rng = random.Random(17)
+    shells = set()
+    for _ in range(150):
+        ambient = rng.randint(1, 4)
+        if rng.random() < 0.5:
+            basis = tuple(tuple(int(i == k) for i in range(ambient)) for k in range(ambient))
+        else:
+            basis = tuple(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(ambient))
+                          for _ in range(rng.randint(0, ambient)))
+        point = tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(ambient))
+        space = AffineSubspace(point, basis)
+        avoid = [tuple(rng.choice((-1, 0, 0, 1)) for _ in range(ambient))
+                 for _ in range(rng.randint(0, 12))]
+        try:
+            expected = generic_point_oracle(scaled(space, 1), avoid)
+        except UnavoidableError:
+            with pytest.raises(UnavoidableError):
+                generic_point(space, avoid)
+            continue
+        assert generic_point(space, avoid) == expected, (space, avoid)
+        shells.add(max((abs(x) for x in expected), default=0))
+    assert {2, 3} <= shells

@@ -27,11 +27,7 @@ from limprof.lab import (
     gen_spaceable,
     h_sequence,
 )
-from limprof.rationals import (
-    UnitRationalTable,
-    first_unit_rationals,
-    unit_rationals,
-)
+from limprof.rationals import UnitRationalTable, first_unit_rationals
 
 from lab_oracle import (
     calkin_wilf_pairs,
@@ -97,6 +93,15 @@ def test_unit_rational_pairs_are_the_filtered_walk():
         assert list(zip(table.nums, table.dens)) == filtered[:max(count, len(table.nums))]
     assert list(islice(unit_rationals(), 5000)) == list(first_unit_rationals(5000))
     assert first_unit_rationals(0) == () and len(first_unit_rationals(1023)) == 1023
+
+
+def unit_rationals():
+    """The unit rationals one at a time, from a table grown one term a step."""
+    table = UnitRationalTable()
+    while True:
+        i = len(table.nums)
+        table.extend_to(i + 1)
+        yield Fraction(table.nums[i], table.dens[i])
 
 
 def test_unit_rationals_prefix():
