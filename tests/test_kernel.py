@@ -296,19 +296,31 @@ def integer_or_rational_matrices(draw):
     return rows
 
 
-@_edge_examples
-@given(integer_or_rational_matrices())
-@settings(max_examples=150, deadline=None)
-def test_nullspace_matches_fraction_oracle(rows):
+def _assert_nullspace_is_multiple_of_oracle(rows):
     """The integer nullspace of the rows' integer multiples is the Fraction
-    oracle's standard basis times its least common positive multiplier, for
-    the matrix and for its transpose."""
-    for a in (rows, transpose(rows)):
-        expected = nullspace_oracle(RatMatrix.from_rows(a))
-        ints = nullspace([integer_multiple(r) for r in a])
-        assert all(type(x) is int for v in ints for x in v)
+    oracle's standard basis times its least common positive multiplier."""
+    expected = nullspace_oracle(RatMatrix.from_rows(rows))
+    ints = nullspace([integer_multiple(r) for r in rows])
+    assert len(ints) == len(expected)
+    assert all(type(x) is int for v in ints for x in v)
+    if expected:
         mult = lcm(*(x.denominator for v in expected for x in v))
         assert ints == [tuple(x * mult for x in v) for v in expected]
+
+
+@_edge_examples
+@given(integer_or_rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_integer_nullspace_is_least_common_multiple_of_nullspace(rows):
+    _assert_nullspace_is_multiple_of_oracle(rows)
+
+
+@_edge_examples
+@given(integer_or_rational_matrices())
+@settings(max_examples=100, deadline=None)
+def test_nullspace_matches_fraction_oracle(rows):
+    """The same check on the transpose: wide and tall shapes swap."""
+    _assert_nullspace_is_multiple_of_oracle(transpose(rows))
 
 
 def _integer_system(rows, b):
