@@ -13,15 +13,18 @@ projected onto the current flat of the arrangement a.(c_i - c_j) = 0
 (Zaslavsky 1975; Orlik-Terao 1992) as integer coordinates. A column whose
 projection equals a block leader's is forced into that block; joining another
 block cuts the flat by one hyperplane (one integer elimination step); a
-prefix is dropped once two leaders' projections coincide. The complete
-strings are exactly the coincidence patterns that some a != 0 realizes.
+prefix is dropped once two leaders' projections coincide. On a flat of
+dimension 1 no cut is left, so the rest of the string is read off in one
+pass. The complete strings are exactly the coincidence patterns that some
+a != 0 realizes.
 
 The witness search, ``collapse``, ``refute_interval`` and ``multiplicity``
 also run on the integer columns of ``_integer_columns`` (M times one common
-denominator): a witness comes from integer column differences and the
-kernel's integer ``nullspace``, ``solve_affine`` and ``generic_point``, and
-only the primitive witness becomes Fractions; ``multiplicity`` counts the
-values of an integer multiple of a on them. A common positive multiplier
+denominator): a witness comes from integer column differences, the kernel's
+integer ``nullspace`` and ``solve_affine``, and ``generic_point`` on the
+block leaders' columns (all columns for ``refute_interval``), and only the
+primitive witness becomes Fractions; ``multiplicity`` counts the values of
+an integer multiple of a on them. A common positive multiplier
 changes no coincidence, so every witness and count equals the rational one.
 """
 
@@ -32,7 +35,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Container, Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     DuplicateColumnsError,
@@ -106,12 +109,18 @@ def multiplicity(m: RatMatrix, alpha: Sequence) -> int:
 
     Counted on integer multiples of alpha and of M's columns, which scale
     every entry by one positive constant."""
+    return _multiplicity(_integer_columns(m), alpha)
+
+
+def _multiplicity(cols: Sequence[tuple[int, ...]], alpha: Sequence) -> int:
+    """``multiplicity`` on the integer columns ``cols`` of M (see
+    ``_integer_columns``), for callers that already hold them."""
     a = integer_multiple(vec(alpha))
-    if len(a) != m.rows:
+    if len(a) != len(cols[0]):
         raise ShapeError("alpha length must equal the row count")
     if not any(a):
         raise ZeroDirectionError("alpha must be nonzero")
-    return len({sum(map(mul, a, c)) for c in _integer_columns(m)})
+    return len({sum(map(mul, a, c)) for c in cols})
 
 
 def _integer_columns(m: RatMatrix) -> list[tuple[int, ...]]:
@@ -132,25 +141,23 @@ def _feasible_blocks(
     alpha exists.
 
     Within-block equalities define a linear subspace; a deterministic generic
-    point of it separates the blocks, unless some cross-block difference
-    vanishes on all of it (generic_point raises UnavoidableError). The
-    search runs on integer differences and an integer basis, and only the
+    point of it gives the block leaders distinct values, unless two leaders
+    agree on all of it (generic_point raises UnavoidableError). The search
+    runs on integer differences and an integer basis, and only the
     primitive witness becomes Fractions.
     """
     rows = len(cols[0])
-    def diff(i: int, j: int) -> tuple[int, ...]:
-        return tuple(map(sub, cols[i], cols[j]))
-    constraints = [diff(j, block[0]) for block in blocks for j in block[1:]]
+    constraints = [tuple(map(sub, cols[j], cols[block[0]]))
+                   for block in blocks for j in block[1:]]
     # with no equalities, a zero row gives the standard basis
     basis = nullspace(constraints or [(0,) * rows])
     if not basis:
         return None  # only alpha = 0 satisfies the equalities
-    leaders = [block[0] for block in blocks]
-    cross = [diff(s, t) for i, s in enumerate(leaders) for t in leaders[i + 1:]]
-    if not cross:
+    if len(blocks) == 1:
         return normalize_primitive(basis[0])
     try:
-        alpha = generic_point(AffineSubspace((0,) * rows, tuple(basis)), cross)
+        alpha = generic_point(AffineSubspace((0,) * rows, tuple(basis)),
+                              [cols[block[0]] for block in blocks])
     except UnavoidableError:
         return None  # the pattern forces two blocks to coincide
     return normalize_primitive(alpha)
@@ -173,50 +180,74 @@ def _restrict(coords: list[list[int]], f: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def _patterns(cols: Sequence[tuple[int, ...]],
-              settled: Container[int] = ()) -> Iterator[tuple[int, ...]]:
-    """The module doc's walk over the integer columns ``cols``. It skips a
-    prefix when every block count it can reach is in ``settled``, which the
-    caller may grow between strings."""
+def _patterns(cols: Sequence[tuple[int, ...]], by_pair: bool) -> dict[int, tuple[int, ...]]:
+    """The module doc's walk over the integer columns ``cols``, and the
+    pattern ``profile`` takes for each block count it reaches: the
+    lexicographically first, or with ``by_pair`` the one whose
+    ``_first_pair`` comes first (the earliest walked on a tie). Without
+    ``by_pair`` it skips a prefix when every block count it can reach has
+    its pattern."""
     n = len(cols)
     labels = [0]
+    chosen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def record(rgs: tuple[int, ...], b: int) -> None:
+        if b not in chosen:
+            chosen[b] = (_first_pair(rgs) if by_pair else (), rgs)
+        elif by_pair and (pair := _first_pair(rgs)) < chosen[b][0]:
+            chosen[b] = (pair, rgs)
+
+    def open_counts(low: int, high: int) -> bool:
+        return by_pair or any(b not in chosen for b in range(low, high + 1))
 
     def walk(j, leaders, coords, points):
-        if j == n:
-            yield tuple(labels)
-            return
-        x = points[j]
-        blocks, left = len(leaders), n - j - 1
         block_of = {points[i]: b for b, i in enumerate(leaders)}
-        if x in block_of:
-            labels.append(block_of[x])
-            yield from walk(j + 1, leaders, coords, points)
-            labels.pop()
+        if len(coords) == 1:
+            # a cut of a flat of dimension 1 leaves only a = 0, so every
+            # column joins the block of its point or opens a new one
+            rest = [block_of.setdefault(x, len(block_of)) for x in points[j:]]
+            record((*labels, *rest), len(block_of))
             return
-        # a cut of a flat of dimension 1 leaves only a = 0
-        if len(coords) > 1 and any(
-                b not in settled for b in range(blocks, blocks + left + 1)):
-            for b, lead in enumerate(leaders):
-                cut = _restrict(coords, [u - v for u, v in zip(x, points[lead])])
-                cut_points = list(zip(*cut))
-                if len({cut_points[i] for i in leaders}) == blocks:
-                    labels.append(b)
-                    yield from walk(j + 1, leaders, cut, cut_points)
-                    labels.pop()
-        if any(b not in settled for b in range(blocks + 1, blocks + left + 2)):
-            labels.append(blocks)
-            yield from walk(j + 1, leaders + [j], coords, points)
-            labels.pop()
+        start = len(labels)
+        while j < n and points[j] in block_of:
+            labels.append(block_of[points[j]])
+            j += 1
+        blocks, left = len(leaders), n - j - 1
+        if j == n:
+            record(tuple(labels), blocks)
+        else:
+            x = points[j]
+            if open_counts(blocks, blocks + left):
+                for b, lead in enumerate(leaders):
+                    cut = _restrict(coords, [u - v for u, v in zip(x, points[lead])])
+                    cut_points = list(zip(*cut))
+                    if len({cut_points[i] for i in leaders}) == blocks:
+                        labels.append(b)
+                        walk(j + 1, leaders, cut, cut_points)
+                        labels.pop()
+            if open_counts(blocks + 1, blocks + left + 1):
+                labels.append(blocks)
+                walk(j + 1, leaders + [j], coords, points)
+                labels.pop()
+        del labels[start:]
 
     # shifting every column by c_0 shifts every value by one constant
     coords = [[c[q] - cols[0][q] for c in cols] for q in range(len(cols[0]))]
-    yield from walk(1, [0], coords, list(zip(*coords)))
+    walk(1, [0], coords, list(zip(*coords)))
+    return {b: rgs for b, (_, rgs) in chosen.items()}
 
 
 def _first_pair(rgs: Sequence[int]) -> tuple[int, ...]:
-    """First pair (i, j), i < j, of columns sharing a block of ``rgs``."""
-    return min(((rgs.index(b), j) for j, b in enumerate(rgs) if rgs.index(b) < j),
-               default=(len(rgs),))
+    """First pair (i, j), i < j, of columns sharing a block of ``rgs``, or
+    (len(rgs),) when every block is a single column."""
+    first: list[int] = []  # first column of each block
+    best: tuple[int, ...] = (len(rgs),)
+    for j, b in enumerate(rgs):
+        if b == len(first):
+            first.append(j)
+        elif first[b] < best[0]:
+            best = (first[b], j)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +290,14 @@ def profile(m: RatMatrix) -> MultiplicityProfile:
     """Exact multiplicity profile {mu(alpha) : alpha != 0} with witnesses.
 
     Columns must be pairwise distinct (merge duplicates first), at most
-    PROFILE_CAP of them. A count's witness is ``_feasible_blocks`` on one
-    walked pattern with that many blocks: with three or more rows the
-    lexicographically first, so the walk skips prefixes whose reachable
-    counts all have one; with at most two rows the one whose first shared
-    column pair (i, j) comes first, which keeps the witnesses of the pair
-    census earlier versions ran there (golden odd-2 pins them). Those walks
-    are small and unpruned: a proper two-row flat is a line.
+    PROFILE_CAP of them. A count's witness is ``_feasible_blocks`` on the
+    walked pattern with that many blocks that ``_patterns`` takes: with
+    three or more rows the lexicographically first, so the walk skips
+    prefixes whose reachable counts all have one; with at most two rows the
+    one whose first shared column pair (i, j) comes first, which keeps the
+    witnesses of the pair census earlier versions ran there (golden odd-2
+    pins them). Those walks are small and unpruned: a proper two-row flat
+    is a line, finished in one pass.
     """
     if m.cols > PROFILE_CAP:
         raise TooLargeError(
@@ -273,12 +305,7 @@ def profile(m: RatMatrix) -> MultiplicityProfile:
             "`limprof profile --sample` (sample_profile) gives an under-approximation"
         )
     cols = _canonical_columns(m)
-    by_pair = m.rows <= 2
-    chosen: dict[int, tuple[int, ...]] = {}
-    for rgs in _patterns(cols, () if by_pair else chosen):
-        b = max(rgs) + 1
-        if b not in chosen or by_pair and _first_pair(rgs) < _first_pair(chosen[b]):
-            chosen[b] = rgs
+    chosen = _patterns(cols, m.rows <= 2)
     witnesses = {b: _feasible_blocks(cols, [[j for j, c in enumerate(rgs) if c == k]
                                             for k in range(b)])
                  for b, rgs in sorted(chosen.items())}
@@ -292,11 +319,11 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
     """Under-approximation of the profile by scanning an integer grid of
     coefficient rows (max-norm shells up to ``max_norm``) plus any ``extra``
     rows. Sampling can only miss counts, never invent them."""
-    _canonical_columns(m)
+    cols = _canonical_columns(m)
     witnesses: dict[int, Vec] = {}
     for a in chain(integer_tuples(m.rows, max_shell=max_norm), extra):
         a = vec(a)
-        if any(a) and (mu := multiplicity(m, a)) not in witnesses:
+        if any(a) and (mu := _multiplicity(cols, a)) not in witnesses:
             witnesses[mu] = normalize_primitive(a)
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
 
@@ -325,7 +352,7 @@ def collapse(m: RatMatrix, cols: Sequence[int]) -> tuple[Vec, Fraction]:
     alpha = sol.point if sol is not None and not sol.basis else nullspace(rows)[0]
     alpha = normalize_primitive(alpha)
     gamma = sum(map(mul, alpha, m.col(chosen[0])), Fraction(0))
-    if multiplicity(m, alpha) > m.cols - m.rows + 1:
+    if _multiplicity(int_cols, alpha) > m.cols - m.rows + 1:
         raise InternalError("collapse: witness separates more than N - rows + 1 values")
     return alpha, gamma
 

@@ -17,9 +17,13 @@ Determinism contracts:
 * ``generic_point`` enumerates integer parameter tuples shell by shell in
   increasing max-norm; inside a shell, tuples are ordered lexicographically
   with the per-coordinate order 0, 1, -1, 2, -2, ...  The first tuple whose
-  point avoids every functional wins. The search is depth first in that
-  order and tests a functional as soon as its last nonzero coefficient is
-  set, so it skips every tuple of a failing prefix at once.
+  point gives the columns pairwise distinct values wins. The search is
+  depth first in that order. Once t_i is set, two columns that agree on
+  every basis coordinate after i have their final values, so they must
+  already differ; it skips every tuple of a failing prefix at once. This is
+  the search that avoids every pairwise difference of the columns as a
+  functional, tested as soon as its last nonzero coefficient is set, and it
+  returns the same point.
 """
 
 from __future__ import annotations
@@ -261,46 +265,48 @@ def integer_tuples(dim: int, max_shell: int = 1000) -> Iterator[tuple[int, ...]]
                 yield t
 
 
-def generic_point(space: AffineSubspace, avoid: Sequence[Sequence[int]] = ()) -> IntVec:
-    """First point of ``space`` (in enumeration order) off every functional,
-    as ints in the space's scale: point + sum of t_i * basis_i, to be read
-    over ``space.mult``.
+def generic_point(space: AffineSubspace, columns: Sequence[Sequence[int]] = ()) -> IntVec:
+    """First point of ``space`` (in enumeration order) at which the integer
+    ``columns`` take pairwise distinct values, as ints in the space's scale:
+    point + sum of t_i * basis_i, to be read over ``space.mult``.
 
-    ``avoid`` holds integer linear functionals on the ambient space, each
-    required to be nonzero at the returned point. A functional identically
-    zero on the whole subspace can never be avoided: that raises
-    UnavoidableError.
+    Two columns that agree on the whole subspace can never be told apart:
+    that raises UnavoidableError.
     """
-    point, basis = space.point, space.basis
-    centred = not any(point)
-    dim = space.dim
-    due: list[list] = [[] for _ in range(dim + 1)]  # by last nonzero coefficient
-    for f in avoid:
-        if len(f) != len(point):
-            raise ShapeError("generic_point: functional has wrong length")
-        c0 = 0 if centred else sum(map(mul, f, point))
-        cs = [sum(map(mul, f, v)) for v in basis]
-        last = max((q + 1 for q, c in enumerate(cs) if c), default=0)
-        if c0 == 0 and not last:
-            raise UnavoidableError("functional vanishes identically on the search space")
-        due[last].append((c0, cs[:last]))  # due[0]: nonzero constants
+    point, basis, dim, n = space.point, space.basis, space.dim, len(columns)
+    if any(len(c) != len(point) for c in columns):
+        raise ShapeError("generic_point: column has wrong length")
+    values = [sum(map(mul, c, point)) for c in columns] if any(point) else [0] * n
+    proj = [[sum(map(mul, c, v)) for c in columns] for v in basis]
+    if len(set(zip(values, *proj))) < n:
+        raise UnavoidableError("two columns agree on the whole search space")
+    # due[i]: once t[i] is set, columns that agree on every basis coordinate
+    # after i keep their values, so those must already differ. It holds
+    # those coordinates, or None when no two columns agree on them, or ()
+    # after the last coordinate, where every value must differ.
+    due = []
+    for i in range(dim):
+        later = list(zip(*proj[i + 1:]))
+        due.append(() if not later else None if len(set(later)) == n else later)
     t = [0] * dim
 
-    def extend(i: int, s: int, hit: bool) -> bool:
+    def extend(i: int, s: int, hit: bool, values: list[int]) -> bool:
         # first completion of t[:i] in shell s; hit: some |t[q]| == s, q < i
         if i == dim:
             return hit
+        keys, row = due[i], proj[i]
         for x in _scalars_up_to(s):
             if i == dim - 1 and not hit and abs(x) != s:
                 continue
             t[i] = x
-            if all(c0 + sum(map(mul, t, cs)) for c0, cs in due[i + 1]) \
-                    and extend(i + 1, s, hit or abs(x) == s):
+            new = [v + x * p for v, p in zip(values, row)] if x else values
+            if (keys is None or len(set(zip(keys, new) if keys else new)) == n) \
+                    and extend(i + 1, s, hit or abs(x) == s, new):
                 return True
         return False
 
     for s in range(1001):  # the shells of integer_tuples
-        if extend(0, s, s == 0):
+        if extend(0, s, s == 0, values):
             out = tuple(point)
             for x, v in zip(t, basis):
                 if x:

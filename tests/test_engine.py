@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from limprof import engine
 from limprof.engine import (
     _feasible_blocks,
     _integer_columns,
@@ -367,3 +368,50 @@ def test_collapse_and_refute_match_fraction_oracle(case):
         assert {values[j] for j in chosen} == {gamma}
         assert multiplicity(m, alpha) == len(set(values))
     assert _outcome(refute_interval, m, n, d) == _outcome(refute_oracle, m, n, d)
+
+
+@pytest.mark.parametrize("values", [(-1, 0, 1), tuple(range(-50, 51))],
+                         ids=["sign", "wide"])
+def test_two_row_profile_matches_census_at_workload_sizes(values):
+    """Two-row walks past the oracle tests' seven columns, where the
+    by-pair choice and the one-pass completion on a line do most of the
+    work: 8-12 columns (at most 9 distinct sign columns)."""
+    rng = random.Random(18)
+    for _ in range(40):
+        m = _random_matrix(rng, 2, rng.randint(8, min(12, len(values) ** 2)), values)
+        assert profile(m).to_json() == profile_by_census(m).to_json(), m.entries
+
+
+def test_wide_refute_matches_fraction_oracle():
+    """Past PROFILE_CAP the generic branch must give all 13-40 columns
+    distinct values, and finds the oracle's direction off every pairwise
+    difference."""
+    rng = random.Random(19)
+    for rows, n_cols in [(r, c) for r in (2, 3) for c in (13, 26, 40)]:
+        m = _random_matrix(rng, rows, n_cols, range(-10, 11))
+        n, d = rng.randint(2, 12), rng.randint(0, rows - 2)
+        got = refute_interval(m, n, d)
+        assert got == refute_oracle(m, n, d), m.entries
+        assert got.multiplicity == m.cols
+
+
+def test_one_point_search_and_one_nullspace_per_witness(monkeypatch):
+    """The benchmark's tracer counts the kernel calls it wraps under these
+    engine names; a witness search routed around them would read 0."""
+    calls = {"generic_point": 0, "nullspace": 0}
+
+    def counted(name):
+        inner = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    # the last row is constant, so alpha = (0, 0, 1) collapses every column
+    m = RatMatrix.from_rows([[0, 1, 0, 2, -1], [0, 0, 1, 3, 1], [1, 1, 1, 1, 1]])
+    prof = profile(m)
+    assert prof.achieved == (1, 3, 4, 5)
+    assert calls == {"generic_point": 3, "nullspace": 4}

@@ -2,7 +2,7 @@ import random
 import time
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import mul, sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -188,23 +188,64 @@ def test_integer_tuples_2d_prefix():
     assert seen[1] == (0, 1)
 
 
+def differences(columns) -> list[tuple]:
+    """Every pairwise difference of the columns, as functionals."""
+    return [tuple(map(sub, a, b)) for i, a in enumerate(columns) for b in columns[i + 1:]]
+
+
+def assert_point_is_oracles(space, columns):
+    """``generic_point`` on the columns is the Fraction oracle's point off
+    their pairwise differences, over the space's multiplier, and raises
+    UnavoidableError exactly where the oracle does."""
+    try:
+        expected = generic_point_oracle(scaled(space, space.mult), differences(columns))
+    except UnavoidableError:
+        with pytest.raises(UnavoidableError):
+            generic_point(space, columns)
+        return None
+    got = generic_point(space, columns)
+    assert all(type(x) is int for x in got)
+    assert tuple(Fraction(x, space.mult) for x in got) == expected, (space, columns)
+    return got
+
+
 def test_generic_point_examples():
     plane = AffineSubspace(point=(0, 0), basis=((1, 0), (0, 1)))
-    # avoid the functional "first coordinate = 0"
-    p = generic_point(plane, avoid=[(1, 0)])
+    # columns that differ only in the first coordinate
+    p = generic_point(plane, [(0, 0), (1, 0)])
     assert p == (1, 0) and all(type(x) is int for x in p)
     diag = AffineSubspace(point=(0, 0), basis=((1, 1),))
-    assert generic_point(diag, avoid=[(1, 0)]) == (1, 1)
+    assert generic_point(diag, [(1, 0), (0, 0)]) == (1, 1)
     # a space over a multiplier: the point is in the space's scale
     shifted = AffineSubspace(point=(1, 0), basis=((0, 2),), mult=2)
-    assert generic_point(shifted, avoid=[(0, 1)]) == (1, 2)
+    assert generic_point(shifted, [(0, 1), (0, 0)]) == (1, 2)
+    # dimension 0: the point itself, when it separates the columns
+    single = AffineSubspace(point=(1, 2), basis=())
+    assert generic_point(single, [(1, 0), (0, 1), (0, 0)]) == (1, 2)
+    # no columns, or one, are separated anywhere: the first point
+    assert generic_point(shifted) == generic_point(shifted, [(5, 7)]) == (1, 0)
+    # off the origin: values 0, t, 1 - t and 1 + t need t outside {0, 1, -1}
+    line = AffineSubspace(point=(0, 1), basis=((1, 0),))
+    assert generic_point(line, [(0, 0), (1, 0), (-1, 1), (1, 1)]) == (2, 1)
+    for space, columns in ((plane, [(0, 0), (1, 0)]), (diag, [(1, 0), (0, 0)]),
+                           (shifted, [(0, 1), (0, 0)]), (single, [(1, 0), (0, 1), (0, 0)]),
+                           (line, [(0, 0), (1, 0), (-1, 1), (1, 1)])):
+        assert_point_is_oracles(space, columns)
 
 
 def test_generic_point_unavoidable():
     diag = AffineSubspace(point=(0, 0), basis=((1, 1),))
-    # x - y vanishes identically on the diagonal
-    with pytest.raises(UnavoidableError):
-        generic_point(diag, avoid=[(1, -1)])
+    # (1, 0) and (0, 1) take equal values on the whole diagonal; off the
+    # origin too, and at a point of dimension 0
+    for space, columns in ((diag, [(1, 0), (0, 0), (0, 1)]),
+                           (AffineSubspace((1, 1), ((1, 1),), 2), [(1, 0), (0, 1)]),
+                           (AffineSubspace((1, 2), ()), [(2, 0), (0, 1)])):
+        with pytest.raises(UnavoidableError):
+            generic_point(space, columns)
+        with pytest.raises(UnavoidableError):
+            generic_point_oracle(scaled(space, space.mult), differences(columns))
+    with pytest.raises(ShapeError):
+        generic_point(diag, [(1, 0, 0)])
 
 
 @given(
@@ -353,32 +394,37 @@ def test_solve_affine_matches_fraction_oracle(rows, x, consistent):
 @given(rational_matrices(max_cols=4), st.data())
 @settings(max_examples=100, deadline=None)
 def test_generic_point_matches_fraction_oracle(rows, data):
-    """On the integer solution set of a rational system, with integer
-    multiples of rational functionals, the point over the multiplier is the
-    oracle's point on the Fraction solution set."""
+    """On the integer solution set of a rational system, often off the
+    origin and over a multiplier, with rational columns times one common
+    denominator, the point over the multiplier is the oracle's point off
+    the Fraction columns' pairwise differences on the Fraction solution
+    set."""
     a = RatMatrix.from_rows(rows)
     b = mul_vec(a.entries, data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols)))
     space = solve_affine(*_integer_system(rows, b))
-    avoid = data.draw(st.lists(st.lists(rationals, min_size=a.cols, max_size=a.cols),
-                               max_size=4))
-    int_avoid = [integer_multiple(vec(f)) for f in avoid]
+    columns = data.draw(st.lists(st.lists(rationals, min_size=a.cols, max_size=a.cols),
+                                 max_size=5))
+    den = lcm(*(x.denominator for c in columns for x in c))
+    int_columns = [tuple(int(x * den) for x in c) for c in columns]
     try:
-        expected = generic_point_oracle(solve_affine_oracle(a, b), avoid)
+        expected = generic_point_oracle(solve_affine_oracle(a, b), differences(columns))
     except UnavoidableError:
         with pytest.raises(UnavoidableError):
-            generic_point(space, int_avoid)
+            generic_point(space, int_columns)
         return
-    got = generic_point(space, int_avoid)
+    got = generic_point(space, int_columns)
     assert all(type(x) is int for x in got)
     assert tuple(Fraction(x, space.mult) for x in got) == expected
 
 
 def test_generic_point_sparse_functionals_match_fraction_oracle():
-    """Sparse functionals, as pairwise differences of {0, 1} columns are,
-    vanish on whole prefixes of the search; the pruned search must still
-    return the oracle's first point, often from shell 2 or 3."""
+    """{-1, 0, 1} columns often agree on every basis coordinate after some
+    i < dim - 1, so the search prunes a prefix before its last coordinate
+    is set; it must still return the oracle's first point off their
+    pairwise differences, often from shell 2 or 3, on centred and
+    non-centred spaces, over multipliers, and of dimension 0."""
     rng = random.Random(17)
-    shells = set()
+    shells, early, dims = set(), 0, set()
     for _ in range(150):
         ambient = rng.randint(1, 4)
         if rng.random() < 0.5:
@@ -387,15 +433,14 @@ def test_generic_point_sparse_functionals_match_fraction_oracle():
             basis = tuple(tuple(rng.choice((-1, 0, 0, 1, 2)) for _ in range(ambient))
                           for _ in range(rng.randint(0, ambient)))
         point = tuple(rng.choice((0, 0, 0, 1, -1)) for _ in range(ambient))
-        space = AffineSubspace(point, basis)
-        avoid = [tuple(rng.choice((-1, 0, 0, 1)) for _ in range(ambient))
-                 for _ in range(rng.randint(0, 12))]
-        try:
-            expected = generic_point_oracle(scaled(space, 1), avoid)
-        except UnavoidableError:
-            with pytest.raises(UnavoidableError):
-                generic_point(space, avoid)
-            continue
-        assert generic_point(space, avoid) == expected, (space, avoid)
-        shells.add(max((abs(x) for x in expected), default=0))
-    assert {2, 3} <= shells
+        space = AffineSubspace(point, basis, rng.choice((1, 1, 2, 3)))
+        columns = [tuple(rng.choice((-1, 0, 0, 1)) for _ in range(ambient))
+                   for _ in range(rng.randint(0, 8))]
+        proj = [tuple(sum(map(mul, c, v)) for v in basis) for c in columns]
+        early += any(len({p[i + 1:] for p in proj}) < len(set(proj))
+                     for i in range(len(basis) - 1))
+        dims.add(len(basis))
+        got = assert_point_is_oracles(space, columns)
+        if got is not None:
+            shells.add(max((abs(x) for x in got), default=0))
+    assert {2, 3} <= shells and early > 30 and 0 in dims
