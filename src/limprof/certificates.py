@@ -37,7 +37,6 @@ from .builders import (
 )
 from .engine import (
     PROFILE_CAP,
-    _integer_columns,
     matrix_from_json,
     matrix_to_json,
     multiplicity,
@@ -46,7 +45,14 @@ from .engine import (
 )
 from .errors import LimprofError, ShapeError, TooLargeError
 from .geometry import approx_direction_census, escape
-from .kernel import RatMatrix, integer_multiple, normalize_primitive, rat_str, vec
+from .kernel import (
+    RatMatrix,
+    integer_multiple,
+    integer_vectors,
+    normalize_primitive,
+    rat_str,
+    vec,
+)
 from .sequences import InfinitudeRelation, StepSequence, combine
 
 
@@ -222,24 +228,21 @@ class Certificate:
 # construct and verify run the same code on the same data.
 
 
-def _witness_json(witnesses) -> dict:
-    return {str(k): [rat_str(x) for x in w] for k, w in sorted(witnesses.items())}
-
-
 def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     n, d = int(params["n"]), int(params["d"])
     prof = profile(inputs["matrix"])
+    prof_json = prof.to_json()
     within = all(n <= c <= n + d for c in prof.achieved)
     endpoints = n in prof.achieved and (n + d) in prof.achieved
     verification = {
-        "profile": prof.to_json(),
+        "profile": prof_json,
         "low": n,
         "high": n + d,
         "withinBounds": within,
         "endpointsAchieved": endpoints,
         "pass": within and endpoints,
     }
-    return _witness_json(prof.witnesses), verification
+    return prof_json["witnesses"], verification
 
 
 def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
@@ -253,7 +256,7 @@ def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     if mat.cols <= PROFILE_CAP:
         prof = profile(mat)
         counts = list(prof.achieved)
-        witnesses = _witness_json(prof.witnesses)
+        witnesses = prof.to_json()["witnesses"]
         method = "exact-profile"
     else:
         witnesses = {}
@@ -268,7 +271,7 @@ def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     all_odd = all(c % 2 == 1 for c in counts)
     at_least = all(c >= 3 for c in counts)
     # on the integer columns: a positive scale keeps symmetry and zero
-    cols = _integer_columns(mat)
+    cols = integer_vectors(mat.columns())
     value_sets = [{sum(map(mul, integer_multiple(vec(w)), c)) for c in cols}
                   for w in witnesses.values()]
     sym_ok = all(values == {-v for v in values} for values in value_sets)

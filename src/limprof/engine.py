@@ -18,14 +18,15 @@ dimension 1 no cut is left, so the rest of the string is read off in one
 pass. The complete strings are exactly the coincidence patterns that some
 a != 0 realizes.
 
-The witness search, ``collapse``, ``refute_interval`` and ``multiplicity``
-also run on the integer columns of ``_integer_columns`` (M times one common
-denominator): a witness comes from integer column differences, the kernel's
+Every entry point scales M once, by ``kernel.integer_vectors`` on its
+columns (M times one common denominator), and the witness search,
+``collapse``, ``refute_interval`` and ``multiplicity`` run on those integer
+columns: a witness comes from integer column differences, the kernel's
 integer ``nullspace`` and ``solve_affine``, and ``generic_point`` on the
-block leaders' columns (all columns for ``refute_interval``), and only the
-primitive witness becomes Fractions; ``multiplicity`` counts the values of
-an integer multiple of a on them. A common positive multiplier
-changes no coincidence, so every witness and count equals the rational one.
+block leaders' columns, and only the primitive witness becomes Fractions;
+a count is the number of values of an integer multiple of a on them. A
+common positive multiplier changes no coincidence, so every witness and
+count equals the rational one.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, lcm
+from math import gcd
 from operator import mul, sub
 from typing import Mapping, Sequence
 
@@ -53,6 +54,7 @@ from .kernel import (
     generic_point,
     integer_multiple,
     integer_tuples,
+    integer_vectors,
     normalize_primitive,
     nullspace,
     rat_str,
@@ -109,12 +111,12 @@ def multiplicity(m: RatMatrix, alpha: Sequence) -> int:
 
     Counted on integer multiples of alpha and of M's columns, which scale
     every entry by one positive constant."""
-    return _multiplicity(_integer_columns(m), alpha)
+    return _multiplicity(integer_vectors(m.columns()), alpha)
 
 
 def _multiplicity(cols: Sequence[tuple[int, ...]], alpha: Sequence) -> int:
-    """``multiplicity`` on the integer columns ``cols`` of M (see
-    ``_integer_columns``), for callers that already hold them."""
+    """``multiplicity`` on the integer columns ``cols`` of M
+    (``integer_vectors``), for callers that already hold them."""
     a = integer_multiple(vec(alpha))
     if len(a) != len(cols[0]):
         raise ShapeError("alpha length must equal the row count")
@@ -123,22 +125,11 @@ def _multiplicity(cols: Sequence[tuple[int, ...]], alpha: Sequence) -> int:
     return len({sum(map(mul, a, c)) for c in cols})
 
 
-def _integer_columns(m: RatMatrix) -> list[tuple[int, ...]]:
-    """The columns of M times one common denominator of its entries.
-
-    A common multiplier keeps every column difference a nonzero multiple of
-    the rational one, so nullspaces and vanishing tests are unchanged."""
-    mult = lcm(*(x.denominator for row in m.entries for x in row))
-    return list(zip(*([x.numerator * (mult // x.denominator) for x in row]
-                      for row in m.entries)))
-
-
 def _feasible_blocks(
     cols: Sequence[tuple[int, ...]], blocks: Sequence[Sequence[int]]
 ) -> Vec | None:
-    """Witness alpha != 0 whose coincidence pattern on the columns ``cols``
-    (see ``_integer_columns``) is exactly ``blocks``, or None when no such
-    alpha exists.
+    """Witness alpha != 0 whose coincidence pattern on the integer columns
+    ``cols`` is exactly ``blocks``, or None when no such alpha exists.
 
     Within-block equalities define a linear subspace; a deterministic generic
     point of it gives the block leaders distinct values, unless two leaders
@@ -277,8 +268,9 @@ class MultiplicityProfile:
 
 
 def _canonical_columns(m: RatMatrix) -> list[tuple[int, ...]]:
-    """``_integer_columns(m)``, which must be pairwise distinct."""
-    cols = _integer_columns(m)
+    """M's integer columns (``integer_vectors``), which must be pairwise
+    distinct."""
+    cols = integer_vectors(m.columns())
     if len(set(cols)) != len(cols):
         raise DuplicateColumnsError(
             "duplicate columns; merge_columns() first (values on merged atoms agree)"
@@ -346,7 +338,7 @@ def collapse(m: RatMatrix, cols: Sequence[int]) -> tuple[Vec, Fraction]:
         raise ShapeError(f"need exactly {m.rows} distinct column indices")
     if chosen[0] < 0 or chosen[-1] >= m.cols:
         raise ShapeError("column index out of range")
-    int_cols = _integer_columns(m)
+    int_cols = integer_vectors(m.columns())
     rows = [int_cols[j] for j in chosen]
     sol = solve_affine(rows, [1] * m.rows)
     alpha = sol.point if sol is not None and not sol.basis else nullspace(rows)[0]
@@ -374,9 +366,9 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
     [n, n+d].
 
     With more than n+d distinct columns a generic row separates everything
-    (mu = N > n+d). Otherwise collapsing the first min(d+2, N) columns costs
-    at most d+1 linear conditions on at least d+2 unknowns, so a nonzero
-    alpha exists with mu <= N-d-1 <= n-1.
+    (mu = N > n+d): the blocks are N singletons. Otherwise the one block of
+    the first min(d+2, N) columns costs at most d+1 linear conditions on at
+    least d+2 unknowns, so a nonzero alpha exists with mu <= N-d-1 <= n-1.
     """
     if n < 2 or d < 0:
         raise ShapeError("need n >= 2 and d >= 0")
@@ -384,16 +376,13 @@ def refute_interval(m: RatMatrix, n: int, d: int) -> RefutationWitness:
         raise TooFewRowsError(f"need at least d+2 = {d + 2} rows, got {m.rows}")
     int_cols = _canonical_columns(m)
     if m.cols > n + d:
-        singletons = [(j,) for j in range(m.cols)]
-        alpha = _feasible_blocks(int_cols, singletons)
-        if alpha is None:
-            raise InternalError("distinct columns admit no separating direction")
+        blocks = [(j,) for j in range(m.cols)]
     else:
-        k = min(d + 2, m.cols)
-        constraints = [tuple(map(sub, int_cols[j], int_cols[0])) for j in range(1, k)]
-        # N == 1: a zero row, whose first nullspace vector is e_0
-        alpha = normalize_primitive(nullspace(constraints or [(0,) * m.rows])[0])
-    w = RefutationWitness(alpha, multiplicity(m, alpha), n, d)
+        blocks = [range(min(d + 2, m.cols))]
+    alpha = _feasible_blocks(int_cols, blocks)
+    if alpha is None:
+        raise InternalError("refute_interval: the chosen blocks admit no witness")
+    w = RefutationWitness(alpha, _multiplicity(int_cols, alpha), n, d)
     if not w.escapes:
         raise InternalError(f"refute_interval: witness count {w.multiplicity} "
                             f"lies inside [{n}, {n + d}]")

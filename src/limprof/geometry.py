@@ -29,7 +29,7 @@ from .errors import (
     ShapeError,
     TooLargeError,
 )
-from .kernel import normalize_primitive, rat
+from .kernel import integer_vectors, normalize_primitive, rat
 from .sequences import InfinitudeRelation, StepSequence
 
 Point = tuple[Fraction, Fraction]
@@ -72,14 +72,6 @@ class PointConfig:
         return len(self.points)
 
 
-def _integer_points(config: PointConfig) -> list[tuple[int, int]]:
-    """The points scaled by the lcm of all coordinate denominators. A
-    uniform scale keeps every direction and every class count."""
-    scale = math.lcm(*(c.denominator for p in config.points for c in p))
-    return [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-            for x, y in config.points]
-
-
 def _collinear(pts: list[tuple[int, int]]) -> bool:
     ox, oy = pts[0]
     dx, dy = None, None
@@ -112,11 +104,13 @@ def _classes(pts: list[tuple[int, int]], a: int, b: int) -> int:
 
 def collinear(config: PointConfig) -> bool:
     """Exact test; configurations of one or two points count as collinear."""
-    return _collinear(_integer_points(config))
+    return _collinear(integer_vectors(config.points))
 
 
 def _search(pts: list[tuple[int, int]]) -> tuple[Direction, int]:
-    """pinchasi_search on the integer points of a non-collinear config."""
+    """pinchasi_search on the integer points (``integer_vectors``) of a
+    non-collinear config; a uniform scale keeps every direction and every
+    class count."""
     best: tuple[tuple[int, int], int] | None = None
     for a, b in _directions(pts):
         c = _classes(pts, a, b)
@@ -134,7 +128,7 @@ def pinchasi_search(config: PointConfig) -> tuple[Direction, int]:
 
     Raises CollinearError when the configuration is collinear (then a single
     line covers everything and no bound below m-1 exists)."""
-    pts = _integer_points(config)
+    pts = integer_vectors(config.points)
     if _collinear(pts):
         raise CollinearError("point configuration is collinear")
     return _search(pts)
@@ -169,21 +163,17 @@ def escape(
     if rel.left.ids != x.partition.ids or rel.right.ids != y.partition.ids:
         raise ShapeError("relation does not match the sequences")
     forb = tuple(sorted(set(int(f) for f in forbidden)))
+    # pairwise distinct points: a StepSequence's values are pairwise distinct
     pts = tuple(
         (x.values[i], y.values[j]) for i, j in sorted(rel.pairs)
     )
-    ipts = _integer_points(PointConfig(pts))
+    ipts = integer_vectors(pts)
     if _collinear(ipts):
-        base = ipts[0]
-        direction = None
-        for p in ipts[1:]:
-            if p != base:
-                direction = (p[0] - base[0], p[1] - base[1])
-                break
-        if direction is None:
-            a, b = Fraction(1), Fraction(0)  # single value pair: x alone converges
+        line = _directions(ipts)  # one direction, or none for a single point
+        if line:
+            a, b = normalize_primitive(Direction(*line[0]).normal)
         else:
-            a, b = normalize_primitive((-direction[1], direction[0]))
+            a, b = Fraction(1), Fraction(0)  # single value pair: x alone converges
         if len({a * px + b * py for px, py in ipts}) != 1:
             raise InternalError("escape: collinear points not on one level line")
         if 1 in forb:

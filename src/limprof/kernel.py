@@ -6,10 +6,11 @@ standard basis times its least common positive multiplier, ``solve_affine``
 a point and a basis over one common positive multiplier, and
 ``generic_point`` an integer point. A positive multiplier changes no pivot,
 no vanishing test and no sign, so callers scale rational data to integers
-once (``integer_multiple``, or M times one common denominator) and read
-exact answers. ``Fraction``s appear only at the edges: ``rat`` and ``vec``
-read them, ``RatMatrix`` stores them, and ``normalize_primitive`` returns
-its primitive integer vector as Fractions.
+once (``integer_multiple`` for one vector, ``integer_vectors`` for a list
+of them, such as a matrix's columns) and read exact answers. ``Fraction``s
+appear only at the edges: ``rat`` and ``vec`` read them, ``RatMatrix``
+stores them, and ``normalize_primitive`` returns its primitive integer
+vector as Fractions.
 
 Determinism contracts:
 
@@ -106,7 +107,7 @@ class RatMatrix:
         return tuple(r[j] for r in self.entries)
 
     def columns(self) -> list[Vec]:
-        return [self.col(j) for j in range(self.cols)]
+        return list(zip(*self.entries))
 
     def rank(self) -> int:
         return len(_eliminate([integer_multiple(r) for r in self.entries]))
@@ -122,6 +123,17 @@ def integer_multiple(v: Sequence[Fraction]) -> list[int]:
     if den == 1:
         return [x.numerator for x in v]
     return [x.numerator * (den // d) for x, d in zip(v, dens)]
+
+
+def integer_vectors(vectors: Sequence[Sequence[Fraction]]) -> list[IntVec]:
+    """Equal-length rational ``vectors`` (at least one) times one common
+    denominator of all their entries: ``integer_multiple`` of the entries
+    read in a row, cut back into vectors.
+
+    One positive scale keeps every difference a nonzero multiple of the
+    rational one, so coincidences, nullspaces and directions are unchanged."""
+    flat = integer_multiple([x for v in vectors for x in v])
+    return list(zip(*[iter(flat)] * len(vectors[0])))
 
 
 def _eliminate(rows: list[list[int]]) -> list[int]:

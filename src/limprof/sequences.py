@@ -245,14 +245,9 @@ def _pair_table(
         for (i, j), ps in rel.items():
             if not (0 <= i < j < coeff_count):
                 raise BadRelationError(f"bad sequence index pair ({i},{j})")
-            ps = frozenset((int(a), int(b)) for a, b in ps)
-            ni, nj = xs[i].num_atoms, xs[j].num_atoms
-            for a, b in ps:
-                if not (0 <= a < ni and 0 <= b < nj):
-                    raise BadRelationError(f"atom pair ({a},{b}) out of range for ({i},{j})")
-            if {a for a, _ in ps} != set(range(ni)) or {b for _, b in ps} != set(range(nj)):
-                raise BadRelationError(f"relation for ({i},{j}) does not cover both partitions")
-            table[(i, j)] = ps
+            table[(i, j)] = InfinitudeRelation(
+                xs[i].partition, xs[j].partition,
+                frozenset((int(a), int(b)) for a, b in ps)).pairs
     else:
         raise BadRelationError("rel must be None, an InfinitudeRelation, or a mapping")
     for i in range(coeff_count):

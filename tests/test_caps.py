@@ -149,7 +149,7 @@ def test_profile_cap_is_checked_before_the_walk(rows, monkeypatch):
         raise AssertionError("pattern walk started past the cap")
 
     monkeypatch.setattr(engine, "_patterns", no_walk)
-    monkeypatch.setattr(engine, "_integer_columns", no_walk)
+    monkeypatch.setattr(engine, "integer_vectors", no_walk)
     m = RatMatrix.from_rows([[j + i * (PROFILE_CAP + 1) for j in range(PROFILE_CAP + 1)]
                              for i in range(rows)])
     with pytest.raises(TooLargeError):

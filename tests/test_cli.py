@@ -432,7 +432,7 @@ def test_internal_error_exit_4(workdir, monkeypatch, capsys):
     path.write_text(json.dumps(
         {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]}
     ))
-    monkeypatch.setattr(engine, "multiplicity", lambda m, alpha: 2)
+    monkeypatch.setattr(engine, "_multiplicity", lambda cols, alpha: 2)
     assert cli.main(["refute", str(path), "--n", "2", "--d", "0"]) == 4
     assert json.loads(capsys.readouterr().err)["error"] == "internal"
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from limprof import engine
 from limprof.engine import (
     _feasible_blocks,
-    _integer_columns,
     collapse,
     matrix_from_json,
     matrix_to_json,
@@ -27,7 +26,7 @@ from limprof.errors import (
     TooLargeError,
     ZeroDirectionError,
 )
-from limprof.kernel import RatMatrix, vec
+from limprof.kernel import RatMatrix, integer_vectors, vec
 from limprof.sequences import InfinitudeRelation, combine, step_sequence
 
 from kernel_oracle import left_mul_vec, matmul
@@ -71,14 +70,14 @@ def test_set_partitions_order():
 
 
 def test_pattern_feasible_examples():
-    alpha = _feasible_blocks(_integer_columns(M23), [(0, 1), (2,)])
+    alpha = _feasible_blocks(integer_vectors(M23.columns()), [(0, 1), (2,)])
     assert alpha is not None
     # within-block equality and cross-block distinctness
     row = left_mul_vec(M23, alpha)
     assert row[0] == row[1] != row[2]
-    assert _feasible_blocks(_integer_columns(M23), [(0, 1, 2)]) is None
+    assert _feasible_blocks(integer_vectors(M23.columns()), [(0, 1, 2)]) is None
     single = RatMatrix.from_rows([[1, 2]])
-    alpha = _feasible_blocks(_integer_columns(single), [(0,), (1,)])
+    alpha = _feasible_blocks(integer_vectors(single.columns()), [(0,), (1,)])
     assert alpha is not None
 
 
@@ -299,7 +298,7 @@ def matrices_and_blocks(draw):
 def test_feasible_blocks_matches_fraction_oracle(case):
     """Same witness, or None for the same infeasible partitions."""
     m, blocks = case
-    fast = _feasible_blocks(_integer_columns(m), blocks)
+    fast = _feasible_blocks(integer_vectors(m.columns()), blocks)
     assert fast == feasible_blocks(m.columns(), blocks)
     if fast is not None:
         values = left_mul_vec(m, fast)
@@ -415,3 +414,25 @@ def test_one_point_search_and_one_nullspace_per_witness(monkeypatch):
     prof = profile(m)
     assert prof.achieved == (1, 3, 4, 5)
     assert calls == {"generic_point": 3, "nullspace": 4}
+
+
+@pytest.mark.parametrize("run", [
+    profile,
+    lambda m: refute_interval(m, 2, 0),  # 4 columns > n+d: the separating branch
+    lambda m: refute_interval(m, 4, 1),  # 4 columns <= n+d: the collapse branch
+    lambda m: collapse(m, [0, 2, 3]),
+], ids=["profile", "refute-separate", "refute-collapse", "collapse"])
+def test_each_entry_point_scales_the_matrix_once(run, monkeypatch):
+    """One call scales M to its integer columns once, and every later step
+    reads those columns."""
+    calls = []
+    inner = engine.integer_vectors
+
+    def counted(vectors):
+        calls.append(len(vectors))
+        return inner(vectors)
+
+    monkeypatch.setattr(engine, "integer_vectors", counted)
+    m = RatMatrix.from_rows([["1/2", 0, 1, "2/3"], [0, 1, "-1/3", 1], [1, 1, 2, "5/6"]])
+    run(m)
+    assert calls == [m.cols]

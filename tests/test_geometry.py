@@ -12,12 +12,11 @@ from limprof.geometry import (
     approx_regular_polygon,
     _classes,
     _directions,
-    _integer_points,
     collinear,
     escape,
     pinchasi_search,
 )
-from limprof.kernel import normalize_primitive, rat
+from limprof.kernel import integer_vectors, normalize_primitive, rat
 from limprof.sequences import InfinitudeRelation, combine, step_sequence
 
 SQUARE = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -25,12 +24,12 @@ SQUARE = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 def pair_directions(config: PointConfig) -> list[Direction]:
     """All directions determined by two distinct points, sorted canonically."""
-    return [Direction(a, b) for a, b in _directions(_integer_points(config))]
+    return [Direction(a, b) for a, b in _directions(integer_vectors(config.points))]
 
 
 def direction_classes(config: PointConfig, direction: Direction) -> int:
     """Number of lines parallel to ``direction`` needed to cover the points."""
-    return _classes(_integer_points(config), direction.a, direction.b)
+    return _classes(integer_vectors(config.points), direction.a, direction.b)
 
 
 def direction_of(dx, dy):

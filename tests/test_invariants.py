@@ -35,7 +35,7 @@ def test_refute_witness_that_does_not_escape_raises(monkeypatch):
     m = RatMatrix.from_rows([[0, 1], [1, 0]])
     assert engine.refute_interval(m, 2, 0).escapes
     # a multiplicity inside [n, n+d] means the construction is broken
-    monkeypatch.setattr(engine, "multiplicity", lambda mat, alpha: 2)
+    monkeypatch.setattr(engine, "_multiplicity", lambda cols, alpha: 2)
     with pytest.raises(InternalError):
         engine.refute_interval(m, 2, 0)
 
@@ -56,3 +56,20 @@ def test_every_public_name_has_a_user():
     sources += [*(ROOT / "perfbench").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
     used = set().union(*map(_referenced_names, sources))
     assert [name for name in limprof.__all__ if name not in used] == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    """A name with a leading underscore is its module's own: another limprof
+    module that needs it needs a public name instead (dunders such as
+    ``__version__`` are public)."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("limprof"):
+                continue
+            found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert not found, found

@@ -25,6 +25,7 @@ from limprof.kernel import (
     generic_point,
     integer_multiple,
     integer_tuples,
+    integer_vectors,
     normalize_primitive,
     nullspace,
     rat,
@@ -444,3 +445,13 @@ def test_generic_point_sparse_functionals_match_fraction_oracle():
         if got is not None:
             shells.add(max((abs(x) for x in got), default=0))
     assert {2, 3} <= shells and early > 30 and 0 in dims
+
+
+@given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_integer_vectors_scale_by_the_common_denominator(vectors):
+    """Every vector times the lcm of all denominators, as int tuples."""
+    den = lcm(*(x.denominator for v in vectors for x in v))
+    got = integer_vectors(vectors)
+    assert got == [tuple(int(x * den) for x in v) for v in vectors]
+    assert all(type(x) is int for v in got for x in v)
