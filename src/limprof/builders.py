@@ -236,7 +236,7 @@ def independent_family(k: int, split: int = 2) -> IndependentFamily:
         raise ShapeError("split must be 2 or 3")
     if k < 1:
         raise ShapeError("need k >= 1")
-    if split**k > FAMILY_CAP:
+    if k > FAMILY_CAP.bit_length() or split**k > FAMILY_CAP:  # no power of a huge k
         raise TooLargeError(f"{split}^{k} atoms exceeds cap {FAMILY_CAP}")
     values = (0, 1) if split == 2 else (-1, 0, 1)
     return IndependentFamily(k, split, tuple(product(values, repeat=k)))

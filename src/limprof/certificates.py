@@ -22,6 +22,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain, product
 from operator import itemgetter, mul
 from typing import Mapping
@@ -49,6 +50,8 @@ from .kernel import (
     RatMatrix,
     integer_multiple,
     integer_vectors,
+    json_object,
+    json_value,
     normalize_primitive,
     rat_str,
     vec,
@@ -210,10 +213,9 @@ class Certificate:
         """The certificate of a JSON object: claim and mode strings, params,
         inputs, witnesses and verification objects, and toolVersion (this
         version when absent). Other keys are left to verify_certificate."""
-        data = _object(data)
-        fields = [read(data[key]) for key, read in (
-            ("claim", _str), ("mode", _str), ("params", _object), ("inputs", _object),
-            ("witnesses", _object), ("verification", _object))]
+        fields = json_object(data, ("claim", "mode", "params", "inputs", "witnesses",
+                                    "verification"), exact=False)
+        fields = map(json_value, fields, (str, str, dict, dict, dict, dict))
         return cls(*fields, tool_version=str(data.get("toolVersion", __version__)))
 
     @property
@@ -385,19 +387,17 @@ def _escape(params: Mapping, inputs: Mapping) -> tuple[dict, dict] | None:
 # the payload takes and write the JSON construct would store for it.
 
 
-def _json_typed(kind: type):
-    def read(value):
-        if type(value) is not kind:
-            raise ShapeError(f"expected {kind.__name__}, got {value!r}")
-        return value
-
-    return read
+_int, _str, _float, _list = (partial(json_value, kind=kind) for kind in (int, str, float, list))
 
 
-_int, _str, _float, _list, _object = map(_json_typed, (int, str, float, list, dict))
+def _vertex(value) -> tuple[float, float]:
+    if len(_list(value)) != 2:
+        raise ShapeError(f"a vertex is two floats, not {len(value)} values")
+    return tuple(map(_float, value))
 
-_MATRIX = {"matrix": (lambda v: matrix_from_json(_object(v)), matrix_to_json)}
-_VERTICES = {"vertices": (lambda v: [(_float(x), _float(y)) for x, y in map(_list, _list(v))],
+
+_MATRIX = {"matrix": (matrix_from_json, matrix_to_json)}
+_VERTICES = {"vertices": (lambda v: list(map(_vertex, _list(v))),
                           lambda vs: [[x, y] for x, y in vs]),
              "tolerance": (_float, _float)}
 _SEQUENCE = (StepSequence.from_json, StepSequence.to_json)

@@ -1,11 +1,13 @@
 """Command-line surface.
 
 Subcommands: construct, profile, refute, escape, sample, verify.
-Exit codes: 0 success/verified, 1 claim fails, 2 malformed input, 3 resource
-cap, 4 internal error (a bug in limprof, not in the input). construct and
-verify run the same per-claim payload, ``certificates.CLAIMS``. Output is
-deterministic given the flags — no wall clock, no randomness except under
-an explicit --seed, which only ever feeds sampled profiling.
+Exit codes: 0 success/verified, 1 claim fails, 2 malformed input (its
+``LimprofError``, or an ``OSError`` reading a file), 3 resource cap, 4 any
+other exception: a bug in limprof, not in the input. A failure writes one
+JSON line with an ``error`` code to stderr. construct and verify run the
+same per-claim payload, ``certificates.CLAIMS``. Output is deterministic
+given the flags — no wall clock, no randomness except under an explicit
+--seed, which only ever feeds sampled profiling.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .engine import (
     profile,
     sample_profile,
 )
-from .errors import LimprofError, TooLargeError
+from .errors import LimprofError, ShapeError, TooLargeError
 from .kernel import rat, rat_str
 from .lab import estimate_clusters, gen_combo, gen_fq, gen_rich, gen_spaceable
 from .sequences import pair_from_json
@@ -61,13 +63,12 @@ def _int_list(text: str) -> list[int]:
 
 
 def _read_json(path: str):
-    """The JSON value in the file ``path``; nesting too deep for the parser
-    is malformed input (ValueError), like any other JSON error."""
-    text = Path(path).read_text(encoding="utf-8")
+    """The JSON value in the file ``path``. Bytes that are not UTF-8 or not
+    JSON, an integer past Python's digit limit included, raise ShapeError."""
     try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError(f"{path}: JSON nested too deeply") from None
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (RecursionError, ValueError) as exc:
+        raise ShapeError(f"{path}: not a JSON file: {exc}") from None
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -215,20 +216,15 @@ def cmd_escape(args) -> int:
 # sample
 
 
-def _build_generator(args):
-    if args.gen == "fq":
-        if len(args.q) != 1:
-            raise LimprofError("fq takes exactly one --q value")
-        return gen_fq(args.q[0])
-    if args.gen == "combo":
-        return gen_combo(args.d, args.q)
-    if args.gen == "rich":
-        if len(args.q) != 1:
-            raise LimprofError("rich takes exactly one --q value")
-        return gen_rich(args.q[0])
-    if args.gen == "spaceable":
-        return gen_spaceable(args.alpha, args.n_max, args.k_max, args.flavor)
-    raise LimprofError(f"unknown generator {args.gen!r}")  # pragma: no cover
+# --gen -> (the generator from the parsed flags, the counts of --q values it
+# takes). The keys are --gen's choices; spaceable ignores --q.
+GENERATORS = {
+    "fq": (lambda a: gen_fq(*a.q), range(1, 2)),
+    "combo": (lambda a: gen_combo(a.d, a.q), range(1, sys.maxsize)),
+    "rich": (lambda a: gen_rich(*a.q), range(1, 2)),
+    "spaceable": (lambda a: gen_spaceable(a.alpha, a.n_max, a.k_max, a.flavor),
+                  range(sys.maxsize)),
+}
 
 
 # Largest --len for the sample paths that visit every index: --gen rich
@@ -240,13 +236,15 @@ SAMPLE_CAP = 1 << 18
 
 
 def cmd_sample(args) -> int:
-    if args.gen in ("fq", "combo", "rich") and not args.q:
-        raise LimprofError(f"--q is required for --gen {args.gen}")
+    build, q_counts = GENERATORS[args.gen]
+    if len(args.q) not in q_counts:
+        many = "exactly" if len(q_counts) == 1 else "at least"
+        raise LimprofError(f"--gen {args.gen} takes {many} one --q value, got {len(args.q)}")
     if (args.gen == "rich" or args.csv) and args.len > SAMPLE_CAP:
         raise TooLargeError(
             f"--len {args.len} exceeds the cap {SAMPLE_CAP} for --gen rich and --csv"
         )
-    seq = _build_generator(args)
+    seq = build(args)
     # The estimate checks --len, --tail and --epsilon, so a bad value
     # fails before any file is written.
     estimate = estimate_clusters(
@@ -336,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.set_defaults(func=cmd_escape)
 
     s = sub.add_parser("sample", help="CSV prefix and cluster estimate")
-    s.add_argument("--gen", required=True, choices=["fq", "combo", "rich", "spaceable"])
+    s.add_argument("--gen", required=True, choices=list(GENERATORS))
     # Immutable defaults: main reuses one parser, so a default must not
     # carry a change from one call into the next.
     s.add_argument("--q", type=_rat_list, default=())
@@ -373,11 +371,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except LimprofError as exc:
-        print(json.dumps({"error": exc.code, "message": str(exc)}), file=sys.stderr)
-        return exc.exit_code
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(json.dumps({"error": "malformed", "message": str(exc)}), file=sys.stderr)
-        return 2
+        error, message, code = exc.code, str(exc), exc.exit_code
+    except OSError as exc:
+        error, message, code = "malformed", str(exc), 2
+    except Exception as exc:  # any other exception is a limprof bug, not bad input
+        import traceback  # here, not at the top: importing it costs a few ms per process
+        error, message, code = "internal", "".join(traceback.format_exception(exc)), 4
+    print(json.dumps({"error": error, "message": message}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -55,6 +55,9 @@ from .kernel import (
     integer_multiple,
     integer_tuples,
     integer_vectors,
+    json_object,
+    json_rat,
+    json_value,
     normalize_primitive,
     nullspace,
     rat_str,
@@ -78,16 +81,15 @@ def matrix_to_json(m: RatMatrix) -> dict:
     }
 
 
-def matrix_from_json(data: Mapping) -> RatMatrix:
-    """The matrix of ``matrix_to_json``: "entries" a list of row lists, and
-    "rows" and "cols", when present, the integer counts of those rows and
-    columns."""
-    entries = data["entries"]
-    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
-        raise ShapeError("entries must be a list of rows, each a list of rationals")
-    mat = RatMatrix.from_rows(entries)
+def matrix_from_json(data) -> RatMatrix:
+    """The matrix of ``matrix_to_json``: an object whose "entries" is a list
+    of row lists of rationals and whose "rows" and "cols", when present, are
+    the integer counts of those rows and columns."""
+    entries, = json_object(data, ("entries",), exact=False)
+    mat = RatMatrix(tuple(tuple(map(json_rat, json_value(row, list)))
+                          for row in json_value(entries, list)))
     for key, size in (("rows", mat.rows), ("cols", mat.cols)):
-        if key in data and (type(data[key]) is not int or data[key] != size):
+        if key in data and json_value(data[key], int) != size:
             raise ShapeError(f"declared {key} {data[key]!r} does not match the entries")
     return mat
 

@@ -1,7 +1,9 @@
 """Error types shared across the package.
 
-Every error carries a stable machine-readable ``code`` so the CLI can map
-failures onto its exit-code contract without parsing messages.
+A LimprofError's ``code`` is a stable machine-readable tag and its
+``exit_code`` the CLI's exit status: 2 for malformed input (the default), 3
+past a resource cap, 4 for an InternalError. The CLI reports any exception
+that is not a LimprofError as ``internal`` with exit 4: a limprof bug.
 """
 
 

@@ -11,6 +11,8 @@ of them, such as a matrix's columns) and read exact answers. ``Fraction``s
 appear only at the edges: ``rat`` and ``vec`` read them, ``RatMatrix``
 stores them, and ``normalize_primitive`` returns its primitive integer
 vector as Fractions.
+``json_value``, ``json_object`` and ``json_rat`` read every file limprof
+reads: a value they refuse is a ShapeError.
 
 Determinism contracts:
 
@@ -61,7 +63,29 @@ def rat(x) -> Fraction:
             raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, float):
         raise TypeError("refusing float -> Fraction coercion; pass a string or int")
-    raise TypeError(f"cannot interpret {x!r} as a rational")
+    raise TypeError(f"cannot interpret a {type(x).__name__} as a rational")
+
+
+def json_rat(value) -> Fraction:
+    """``rat`` of a value read from outside JSON; one it refuses is a ShapeError."""
+    try:
+        return rat(value)
+    except (TypeError, ValueError) as exc:
+        raise ShapeError(str(exc)) from None
+
+
+def json_value(value, kind: type):
+    """``value`` if its type is exactly ``kind``: JSON true is no int, 1 no float."""
+    if type(value) is not kind:
+        raise ShapeError(f"expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def json_object(value, keys: tuple[str, ...], exact: bool = True) -> list:
+    """The values of ``keys`` in a JSON object with those keys (if ``exact``, no other)."""
+    if type(value) is not dict or (value.keys() ^ keys if exact else set(keys) - value.keys()):
+        raise ShapeError(f"expected an object with {'only ' * exact}the keys {', '.join(keys)}")
+    return [value[k] for k in keys]
 
 
 def rat_str(x: Fraction) -> str:

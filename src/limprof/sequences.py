@@ -20,7 +20,7 @@ from operator import attrgetter, getitem
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadRelationError, EmptyInputError, ShapeError
-from .kernel import rat, rat_str
+from .kernel import json_object, json_rat, json_value, rat, rat_str
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -87,8 +87,8 @@ class StepSequence:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "StepSequence":
-        atoms, values = _json_object(data, ("atoms", "values"))
-        values = [rat(v) for v in _json_list(values, "values")]
+        atoms, values = json_object(data, ("atoms", "values"))
+        values = list(map(json_rat, json_value(values, list)))
         return canonicalize(SymbolicPartition.from_ids(_json_ids(atoms)), values)
 
 
@@ -176,42 +176,23 @@ class InfinitudeRelation:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "InfinitudeRelation":
-        left, right, pairs = _json_object(data, ("left", "right", "pairs"))
-        pairs = _json_list(pairs, "pairs")
-        for p in pairs:
-            if not (isinstance(p, list) and len(p) == 2
-                    and all(type(i) is int for i in p)):
-                raise ShapeError(f"relation pair {p!r} is not two integer indices")
+        left, right, pairs = json_object(data, ("left", "right", "pairs"))
+        pairs = [tuple(json_value(i, int) for i in json_value(p, list))
+                 for p in json_value(pairs, list)]
+        if any(len(p) != 2 for p in pairs):
+            raise ShapeError("a relation pair is two integer indices")
         return cls(SymbolicPartition.from_ids(_json_ids(left)),
-                   SymbolicPartition.from_ids(_json_ids(right)),
-                   frozenset((i, j) for i, j in pairs))
-
-
-def _json_object(data, keys: tuple[str, ...]) -> list:
-    """The values, in the order of ``keys``, of a JSON object that has
-    exactly those keys."""
-    if not isinstance(data, dict) or set(data) != set(keys):
-        raise ShapeError(f"expected an object with exactly the keys {', '.join(keys)}")
-    return [data[k] for k in keys]
-
-
-def _json_list(data, what: str) -> list:
-    if not isinstance(data, list):
-        raise ShapeError(f"{what} must be a list")
-    return data
+                   SymbolicPartition.from_ids(_json_ids(right)), frozenset(pairs))
 
 
 def _json_ids(data) -> list[str]:
-    ids = _json_list(data, "atom ids")
-    if not all(isinstance(a, str) for a in ids):
-        raise ShapeError("atom ids must be strings")
-    return ids
+    return [json_value(a, str) for a in json_value(data, list)]
 
 
 def pair_from_json(data) -> tuple[StepSequence, StepSequence, InfinitudeRelation]:
     """The sequences x, y and their relation from an object with exactly
     the keys x, y and relation (the ``limprof escape`` input)."""
-    x, y, rel = _json_object(data, ("x", "y", "relation"))
+    x, y, rel = json_object(data, ("x", "y", "relation"))
     return (StepSequence.from_json(x), StepSequence.from_json(y),
             InfinitudeRelation.from_json(rel))
 

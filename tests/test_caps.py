@@ -15,7 +15,8 @@ The edges come from each cap's definition:
   k == ODD_CAP + 1. ``verify`` of an odd certificate refuses a k past the
   cap (exit 3) and a matrix that is not k x 3^k (exit 2) before any work.
 - ``FAMILY_CAP`` admits ``construct independent`` while split^k <=
-  FAMILY_CAP: for each split, the largest such k and k + 1.
+  FAMILY_CAP: for each split, the largest such k and k + 1, and a k of
+  10^12 is refused at once.
 - ``POLYGON_CAP`` admits ``construct polygon --n`` up to POLYGON_CAP:
   n == POLYGON_CAP and n == POLYGON_CAP + 1.
 - ``SAMPLE_CAP`` admits ``sample --len`` up to SAMPLE_CAP on the paths that
@@ -263,6 +264,13 @@ def test_independent_at_family_cap_finishes_and_verifies(split, tmp_path):
 def test_independent_past_family_cap_exits_3(split, tmp_path):
     construct_past_cap(tmp_path, "independent", "--k", str(family_edge(split) + 1),
                        "--split", str(split))
+
+
+@pytest.mark.parametrize("split", [2, 3])
+def test_independent_with_a_huge_k_exits_3_at_once(split, tmp_path):
+    """The cap check does not compute split^k for a k of 10^12, a few bytes
+    on the command line or in a certificate."""
+    construct_past_cap(tmp_path, "independent", "--k", str(10**12), "--split", str(split))
 
 
 @pytest.mark.parametrize("split", [2, 3])

@@ -387,6 +387,8 @@ def test_missing_file_exit_2():
 @pytest.mark.parametrize("vertices, error", [
     ([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [-1.0, 0.0]], "degenerate"),
     ([], "empty"),
+    ([[1.0], [0.0, 1.0], [-1.0, 0.0]], "shape"),  # a vertex is exactly two floats
+    ([[1.0, 0.0, 0.0], [0.0, 1.0], [-1.0, 0.0]], "shape"),
 ])
 def test_verify_malformed_polygon_certificate_exit_2(workdir, vertices, error):
     out = workdir / "p.json"
@@ -424,17 +426,23 @@ def test_verify_oversized_polygon_certificate_exit_3(workdir):
     assert json.loads(p.stderr)["error"] == "too-large"
 
 
-def test_internal_error_exit_4(workdir, monkeypatch, capsys):
-    """A broken invariant is a library bug: exit 4, never 1 or 2."""
-    from limprof import cli, engine
-
+@pytest.mark.parametrize("module, name, broken", [
+    ("engine", "_multiplicity", lambda cols, alpha: 2),  # a broken invariant
+    ("certificates", "refute_interval", lambda mat, n, d: n + "0"),  # TypeError
+    ("certificates", "refute_interval", lambda mat, n, d: n // 0),  # ZeroDivisionError
+], ids=["invariant", "TypeError", "ZeroDivisionError"])
+def test_internal_error_exit_4(workdir, monkeypatch, capsys, module, name, broken):
+    """A broken invariant, or any exception raised after the input was read,
+    is a library bug: exit 4, never 1 or 2, one JSON line and no answer."""
     path = workdir / "m.json"
     path.write_text(json.dumps(
         {"rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "0"]]}
     ))
-    monkeypatch.setattr(engine, "_multiplicity", lambda cols, alpha: 2)
+    monkeypatch.setattr(getattr(limprof, module), name, broken)
     assert cli.main(["refute", str(path), "--n", "2", "--d", "0"]) == 4
-    assert json.loads(capsys.readouterr().err)["error"] == "internal"
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "internal"
 
 
 # A well-formed escape input; every malformed one below differs from it in
@@ -580,6 +588,53 @@ def test_exponent_notation_exits_2_at_once(tmp_path):
         assert time.perf_counter() - start < 1.0, argv
         assert code == 2 and out == "" and "Traceback" not in err, (argv, err)
         assert huge in err
+
+
+BIG = "9" * 5000  # past Python's 4300-digit limit on int <-> str conversion
+LATIN_1 = json.dumps({"about": "caf\u00e9"}, ensure_ascii=False).encode("latin-1")
+UNREADABLE = {
+    "matrix-entry-string": ("profile", json.dumps({"entries": [["1", BIG], ["0", "1"]]})),
+    "matrix-entry-number": ("profile", '{"entries": [["1", %s], ["0", "1"]]}' % BIG),
+    "pair-value-string": ("escape", json.dumps(VALID_PAIR).replace('"1/2"', f'"{BIG}"')),
+    "pair-value-number": ("escape", json.dumps(VALID_PAIR).replace('"1/2"', BIG)),
+    "profile-latin-1": ("profile", LATIN_1),
+    "escape-latin-1": ("escape", LATIN_1),
+    "verify-latin-1": ("verify", LATIN_1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_input_exits_2_at_once(tmp_path, case):
+    """A 5000-digit integer, which Python refuses to convert, and a file that
+    is not UTF-8 are malformed input: exit 2 with one JSON error line."""
+    command, content = UNREADABLE[case]
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    argv = [command, str(path), *(["--forbidden", "1,2"] if command == "escape" else [])]
+    start = time.perf_counter()
+    code, out, err = run_in_process(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "Traceback" not in err, err
+    assert json.loads(err)["error"] == "shape"
+
+
+@pytest.mark.parametrize("flags", [
+    ["fq", "--q", "1/2,1/3"], ["fq"], ["rich", "--q", "1/2,2/3"], ["rich"], ["combo"],
+], ids=["fq-two", "fq-none", "rich-two", "rich-none", "combo-none"])
+def test_sample_checks_the_count_of_q_values_before_building(flags, tmp_path, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("the generator was built before its --q values were checked")
+
+    for gen in ("gen_fq", "gen_rich", "gen_combo"):
+        monkeypatch.setattr(cli, gen, no_build)
+    clusters = tmp_path / "c.json"
+    code, out, err = run_in_process(["sample", "--gen", *flags, "--len", "8",
+                                     "--clusters", str(clusters)])
+    assert code == 2 and out == "" and not clusters.exists()
+    assert "--q" in json.loads(err)["message"]
 
 
 # Subcommands and flags mixed; the second call leaves out the --alpha the
