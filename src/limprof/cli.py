@@ -2,17 +2,19 @@
 
 Subcommands: construct, profile, refute, escape, sample, verify.
 Exit codes: 0 success/verified, 1 claim fails, 2 malformed input (its
-``LimprofError``, or an ``OSError`` reading a file), 3 resource cap, 4 any
-other exception: a bug in limprof, not in the input. A failure writes one
-JSON line with an ``error`` code to stderr. construct and verify run the
-same per-claim payload, ``certificates.CLAIMS``. Output is deterministic
-given the flags — no wall clock, no randomness except under an explicit
---seed, which only ever feeds sampled profiling.
+``LimprofError``, or an ``OSError`` reading a file) or an output path that
+cannot be written (``unwritable``: every output goes through ``_output``),
+3 resource cap, 4 any other exception: a bug in limprof, not in the input.
+A failure writes one JSON line with an ``error`` code to stderr. construct
+and verify run the same per-claim payload, ``certificates.CLAIMS``. Output
+is deterministic given the flags — no wall clock, no randomness except
+under an explicit --seed, which only ever feeds sampled profiling.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import random
@@ -39,7 +41,7 @@ from .engine import (
     profile,
     sample_profile,
 )
-from .errors import LimprofError, ShapeError, TooLargeError
+from .errors import LimprofError, ShapeError, TooLargeError, UnwritableError
 from .kernel import rat, rat_str
 from .lab import estimate_clusters, gen_combo, gen_fq, gen_rich, gen_spaceable
 from .sequences import pair_from_json
@@ -71,13 +73,26 @@ def _read_json(path: str):
         raise ShapeError(f"{path}: not a JSON file: {exc}") from None
 
 
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(canonical_json(payload), encoding="utf-8")
+@contextlib.contextmanager
+def _output(path: str):
+    """The file ``path`` opened for writing text as is; an OSError while
+    opening or writing it (a missing directory, a directory, no
+    permission) raises UnwritableError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise UnwritableError(f"{path}: cannot write: {exc}") from None
+
+
+def _write_text(path: str, text: str) -> None:
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _emit_certificate(cert: Certificate, cert_path: str | None) -> None:
     if cert_path:
-        Path(cert_path).write_text(cert.dumps(), encoding="utf-8")
+        _write_text(cert_path, cert.dumps())
     else:
         sys.stdout.write(cert.dumps())
 
@@ -113,7 +128,7 @@ def cmd_construct(args) -> int:
     build, artifact = CONSTRUCTS[args.kind]
     cert = build(args)
     if args.out:
-        _write_json(args.out, artifact(cert))
+        _write_text(args.out, canonical_json(artifact(cert)))
     cert_path = args.cert
     if cert_path is None and args.out:
         cert_path = str(Path(args.out).with_suffix("")) + ".cert.json"
@@ -164,7 +179,7 @@ def cmd_profile(args) -> int:
     result["profile"] = prof.to_json()
     text = canonical_json(result)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write_text(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -252,7 +267,7 @@ def cmd_sample(args) -> int:
     )
     if args.csv:
         # One row per value as it is computed, so memory stays flat in --len.
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
+        with _output(args.csv) as fh:
             fh.write("index,value\n")
             for i in range(args.len):
                 v = seq.value_at(i)
@@ -261,7 +276,7 @@ def cmd_sample(args) -> int:
     payload = estimate.to_json()
     text = canonical_json(payload)
     if args.clusters:
-        Path(args.clusters).write_text(text, encoding="utf-8")
+        _write_text(args.clusters, text)
     sys.stdout.write(text)
     return 0
 

@@ -16,7 +16,10 @@ block cuts the flat by one hyperplane (one integer elimination step); a
 prefix is dropped once two leaders' projections coincide. On a flat of
 dimension 1 no cut is left, so the rest of the string is read off in one
 pass. The complete strings are exactly the coincidence patterns that some
-a != 0 realizes.
+a != 0 realizes. The walk runs from three rows up. Two-row columns are
+plane points, and their profile is N together with the class count of each
+direction through two of them, which ``geometry.direction_census`` counts
+in one pass; one row gives only N.
 
 Every entry point scales M once, by ``kernel.integer_vectors`` on its
 columns (M times one common denominator), and the witness search,
@@ -47,6 +50,7 @@ from .errors import (
     UnavoidableError,
     ZeroDirectionError,
 )
+from .geometry import direction_census
 from .kernel import (
     AffineSubspace,
     RatMatrix,
@@ -173,25 +177,16 @@ def _restrict(coords: list[list[int]], f: Sequence[int]) -> list[list[int]]:
     return out
 
 
-def _patterns(cols: Sequence[tuple[int, ...]], by_pair: bool) -> dict[int, tuple[int, ...]]:
+def _patterns(cols: Sequence[tuple[int, ...]]) -> dict[int, tuple[int, ...]]:
     """The module doc's walk over the integer columns ``cols``, and the
-    pattern ``profile`` takes for each block count it reaches: the
-    lexicographically first, or with ``by_pair`` the one whose
-    ``_first_pair`` comes first (the earliest walked on a tie). Without
-    ``by_pair`` it skips a prefix when every block count it can reach has
-    its pattern."""
+    lexicographically first pattern it reaches for each block count. It
+    skips a prefix when every block count it can reach has its pattern."""
     n = len(cols)
     labels = [0]
-    chosen: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def record(rgs: tuple[int, ...], b: int) -> None:
-        if b not in chosen:
-            chosen[b] = (_first_pair(rgs) if by_pair else (), rgs)
-        elif by_pair and (pair := _first_pair(rgs)) < chosen[b][0]:
-            chosen[b] = (pair, rgs)
+    chosen: dict[int, tuple[int, ...]] = {}
 
     def open_counts(low: int, high: int) -> bool:
-        return by_pair or any(b not in chosen for b in range(low, high + 1))
+        return any(b not in chosen for b in range(low, high + 1))
 
     def walk(j, leaders, coords, points):
         block_of = {points[i]: b for b, i in enumerate(leaders)}
@@ -199,7 +194,7 @@ def _patterns(cols: Sequence[tuple[int, ...]], by_pair: bool) -> dict[int, tuple
             # a cut of a flat of dimension 1 leaves only a = 0, so every
             # column joins the block of its point or opens a new one
             rest = [block_of.setdefault(x, len(block_of)) for x in points[j:]]
-            record((*labels, *rest), len(block_of))
+            chosen.setdefault(len(block_of), (*labels, *rest))
             return
         start = len(labels)
         while j < n and points[j] in block_of:
@@ -207,7 +202,7 @@ def _patterns(cols: Sequence[tuple[int, ...]], by_pair: bool) -> dict[int, tuple
             j += 1
         blocks, left = len(leaders), n - j - 1
         if j == n:
-            record(tuple(labels), blocks)
+            chosen.setdefault(blocks, tuple(labels))
         else:
             x = points[j]
             if open_counts(blocks, blocks + left):
@@ -227,20 +222,7 @@ def _patterns(cols: Sequence[tuple[int, ...]], by_pair: bool) -> dict[int, tuple
     # shifting every column by c_0 shifts every value by one constant
     coords = [[c[q] - cols[0][q] for c in cols] for q in range(len(cols[0]))]
     walk(1, [0], coords, list(zip(*coords)))
-    return {b: rgs for b, (_, rgs) in chosen.items()}
-
-
-def _first_pair(rgs: Sequence[int]) -> tuple[int, ...]:
-    """First pair (i, j), i < j, of columns sharing a block of ``rgs``, or
-    (len(rgs),) when every block is a single column."""
-    first: list[int] = []  # first column of each block
-    best: tuple[int, ...] = (len(rgs),)
-    for j, b in enumerate(rgs):
-        if b == len(first):
-            first.append(j)
-        elif first[b] < best[0]:
-            best = (first[b], j)
-    return best
+    return chosen
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +266,15 @@ def profile(m: RatMatrix) -> MultiplicityProfile:
     """Exact multiplicity profile {mu(alpha) : alpha != 0} with witnesses.
 
     Columns must be pairwise distinct (merge duplicates first), at most
-    PROFILE_CAP of them. A count's witness is ``_feasible_blocks`` on the
-    walked pattern with that many blocks that ``_patterns`` takes: with
-    three or more rows the lexicographically first, so the walk skips
-    prefixes whose reachable counts all have one; with at most two rows the
-    one whose first shared column pair (i, j) comes first, which keeps the
-    witnesses of the pair census earlier versions ran there (golden odd-2
-    pins them). Those walks are small and unpruned: a proper two-row flat
-    is a line, finished in one pass.
+    PROFILE_CAP of them. With three or more rows a count's witness is
+    ``_feasible_blocks`` on the lexicographically first walked pattern with
+    that many blocks. With two rows the columns are plane points, and a
+    nonzero alpha either separates them all or is normal to a direction
+    through two of them: each count below N is read from
+    ``geometry.direction_census``, and its witness is the primitive normal
+    of the first direction in the census with that count (golden odd-2 pins
+    them). With one row every alpha separates the columns. The count N's
+    witness is ``_feasible_blocks`` on singletons.
     """
     if m.cols > PROFILE_CAP:
         raise TooLargeError(
@@ -299,12 +282,19 @@ def profile(m: RatMatrix) -> MultiplicityProfile:
             "`limprof profile --sample` (sample_profile) gives an under-approximation"
         )
     cols = _canonical_columns(m)
-    chosen = _patterns(cols, m.rows <= 2)
-    witnesses = {b: _feasible_blocks(cols, [[j for j, c in enumerate(rgs) if c == k]
-                                            for k in range(b)])
-                 for b, rgs in sorted(chosen.items())}
+    if m.rows > 2:
+        witnesses = {b: _feasible_blocks(cols, [[j for j, c in enumerate(rgs) if c == k]
+                                                for k in range(b)])
+                     for b, rgs in _patterns(cols).items()}
+    else:
+        witnesses = {}
+        for (a, b), c in (direction_census(cols) if m.rows == 2 else {}).items():
+            if c not in witnesses:
+                witnesses[c] = normalize_primitive((b, -a))
+        witnesses[m.cols] = _feasible_blocks(cols, [(j,) for j in range(m.cols)])
     if None in witnesses.values():
-        raise InternalError("profile: a walked pattern has no witness")
+        raise InternalError("profile: a pattern has no witness")
+    witnesses = dict(sorted(witnesses.items()))
     return MultiplicityProfile(tuple(witnesses), witnesses)
 
 

@@ -1,9 +1,10 @@
 """Error types shared across the package.
 
 A LimprofError's ``code`` is a stable machine-readable tag and its
-``exit_code`` the CLI's exit status: 2 for malformed input (the default), 3
-past a resource cap, 4 for an InternalError. The CLI reports any exception
-that is not a LimprofError as ``internal`` with exit 4: a limprof bug.
+``exit_code`` the CLI's exit status: 2 for malformed input or an output
+path that cannot be written (the default), 3 past a resource cap, 4 for an
+InternalError. The CLI reports any exception that is not a LimprofError as
+``internal`` with exit 4: a limprof bug.
 """
 
 
@@ -34,6 +35,12 @@ class BadRelationError(LimprofError):
 
 class ZeroDirectionError(LimprofError):
     code = "zero-direction"
+
+
+class UnwritableError(LimprofError):
+    """An output file cannot be written: a bad output path is a bad argument."""
+
+    code = "unwritable"
 
 
 class TooLargeError(LimprofError):

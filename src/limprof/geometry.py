@@ -7,11 +7,14 @@ its accumulation points is therefore counting parallel lines: the functional
 (a, b). Directions determined by at least two of the points are exactly the
 candidates that can lower the count below the number of points.
 
-``pinchasi_search`` scans all point-pair directions and returns one whose
-parallel-line class count is maximal; for a non-collinear m-point set that
-count always lies in [floor((m+1)/2), m-1] (the lower bound is a published
-result on directions determined by point sets; the upper bound holds because
-the two determining points share a line).
+``direction_census`` counts, in one pass over the integer points, the
+parallel-line classes of every direction through two of them; the two-row
+profile (``engine.profile``), ``pinchasi_search`` and ``escape`` all read
+it. ``pinchasi_search`` returns a direction whose class count is maximal;
+for a non-collinear m-point set that count always lies in
+[floor((m+1)/2), m-1] (the lower bound is a published result on directions
+determined by point sets; the upper bound holds because the two
+determining points share a line).
 """
 
 from __future__ import annotations
@@ -83,23 +86,29 @@ def _collinear(pts: list[tuple[int, int]]) -> bool:
     return True
 
 
-def _directions(pts: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Keys (a, b) of the primitive directions through two distinct points,
-    canonical sign (a > 0, or a == 0 and b > 0), sorted."""
-    dirs = set()
-    for i, (x0, y0) in enumerate(pts):
-        for x1, y1 in pts[i + 1:]:
+def direction_census(points: Sequence[tuple[int, int]]) -> dict[tuple[int, int], int]:
+    """Class count of every direction through two of the pairwise distinct
+    integer ``points``: {(a, b): lines parallel to (a, b) through them}.
+
+    A direction (a, b) is primitive with canonical sign (a > 0, or a == 0
+    and b > 0). One pass over i collects the directions to the later points
+    j > i; a line of s points gives s - 1 of its points a later one along
+    it, so c(d) = N - #{i with a later point along d}. Keys are in order of
+    each direction's lexicographically first pair (i, j)."""
+    n = len(points)
+    census: dict[tuple[int, int], int] = {}
+    for i, (x0, y0) in enumerate(points):
+        seen = set()
+        for x1, y1 in points[i + 1:]:
             a, b = x1 - x0, y1 - y0
             g = math.gcd(a, b)
             if a < 0 or (a == 0 and b < 0):
                 g = -g
-            dirs.add((a // g, b // g))
-    return sorted(dirs)
-
-
-def _classes(pts: list[tuple[int, int]], a: int, b: int) -> int:
-    """Lines parallel to (a, b) through the points: values of b*x - a*y."""
-    return len({b * x - a * y for x, y in pts})
+            d = (a // g, b // g)
+            if d not in seen:
+                seen.add(d)
+                census[d] = census.get(d, n) - 1
+    return census
 
 
 def collinear(config: PointConfig) -> bool:
@@ -111,20 +120,18 @@ def _search(pts: list[tuple[int, int]]) -> tuple[Direction, int]:
     """pinchasi_search on the integer points (``integer_vectors``) of a
     non-collinear config; a uniform scale keeps every direction and every
     class count."""
-    best: tuple[tuple[int, int], int] | None = None
-    for a, b in _directions(pts):
-        c = _classes(pts, a, b)
-        if best is None or c > best[1]:
-            best = ((a, b), c)
+    census = direction_census(pts)
+    best = max(sorted(census), key=census.__getitem__, default=None)
     m = len(pts)
-    if best is None or not (m + 1) // 2 <= best[1] <= m - 1:
+    if best is None or not (m + 1) // 2 <= census[best] <= m - 1:
         raise InternalError(f"pinchasi_search: {best} breaks the bounds for {m} points")
-    return Direction(*best[0]), best[1]
+    return Direction(*best), census[best]
 
 
 def pinchasi_search(config: PointConfig) -> tuple[Direction, int]:
     """Direction determined by the points with the maximal parallel-line
-    class count; ties broken by canonical direction order.
+    class count in ``direction_census``; ties broken by canonical direction
+    order.
 
     Raises CollinearError when the configuration is collinear (then a single
     line covers everything and no bound below m-1 exists)."""
@@ -169,9 +176,10 @@ def escape(
     )
     ipts = integer_vectors(pts)
     if _collinear(ipts):
-        line = _directions(ipts)  # one direction, or none for a single point
+        # the census's single key is the line; a single point has none
+        line = next(iter(direction_census(ipts)), None)
         if line:
-            a, b = normalize_primitive(Direction(*line[0]).normal)
+            a, b = normalize_primitive(Direction(*line).normal)
         else:
             a, b = Fraction(1), Fraction(0)  # single value pair: x alone converges
         if len({a * px + b * py for px, py in ipts}) != 1:

@@ -11,17 +11,19 @@ oracles, and the Fraction witness search they share:
   (Bell(N) of them) and decides each with ``feasible_blocks``; the witness
   of a count is the lexicographically first feasible restricted growth
   string with that many blocks.
-- ``profile_by_census`` (at most two rows) scans the column pairs: every
-  nonzero direction either separates all columns or is proportional to the
-  normal of some column difference. The witness of a count is the normal of
-  the first pair that gives it, and a generic direction for count N.
+- ``profile_by_census`` (at most two rows) scans the column pairs, one
+  ``multiplicity`` per pair: every nonzero direction either separates all
+  columns or is proportional to the normal of some column difference. The
+  witness of a count is the normal of the first pair that gives it, and a
+  generic direction for count N. ``profile`` reads the same counts from
+  ``geometry.direction_census`` in one pass.
 - ``collapse_oracle`` and ``refute_oracle`` are ``collapse`` and
   ``refute_interval`` as they once were: the chosen columns' transpose
   solved against the all-ones target (or its first nullspace vector), and
   the first column differences' nullspace, all in Fractions.
 
 ``profile_oracle`` dispatches between the two profiles by row count, as
-``profile`` once did, so its output must equal ``profile``'s, witnesses
+``profile`` does, so its output must equal ``profile``'s, witnesses
 included.
 """
 

@@ -144,12 +144,13 @@ def test_profile_past_profile_cap_exits_3(tmp_path):
     assert not out.exists() and p.stdout == ""
 
 
-@pytest.mark.parametrize("rows", [1, PROFILE_EDGE_ROWS, PROFILE_CAP + 1])
+@pytest.mark.parametrize("rows", [1, 2, PROFILE_EDGE_ROWS, PROFILE_CAP + 1])
 def test_profile_cap_is_checked_before_the_walk(rows, monkeypatch):
     def no_walk(*args):
-        raise AssertionError("pattern walk started past the cap")
+        raise AssertionError("pattern walk or direction census started past the cap")
 
     monkeypatch.setattr(engine, "_patterns", no_walk)
+    monkeypatch.setattr(engine, "direction_census", no_walk)
     monkeypatch.setattr(engine, "integer_vectors", no_walk)
     m = RatMatrix.from_rows([[j + i * (PROFILE_CAP + 1) for j in range(PROFILE_CAP + 1)]
                              for i in range(rows)])

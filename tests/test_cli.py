@@ -690,6 +690,35 @@ def test_bad_list_value_exits_2_with_its_reason(flag, value, reason):
     assert "_list" not in err and "Traceback" not in err
 
 
+# Every flag that names an output file; "OUT" is where its path goes. The
+# inputs m.json and pair.json are written to the working directory.
+OUTPUT_FLAGS = {
+    "construct-out": ["construct", "odd", "--k", "2", "--out", "OUT"],
+    "construct-cert": ["construct", "odd", "--k", "2", "--cert", "OUT"],
+    "profile-out": ["profile", "m.json", "--out", "OUT"],
+    "refute-cert": ["refute", "m.json", "--n", "2", "--d", "0", "--cert", "OUT"],
+    "escape-cert": ["escape", "pair.json", "--forbidden", "0", "--cert", "OUT"],
+    "sample-clusters": ["sample", "--gen", "fq", "--q", "1/2", "--len", "8", "--clusters", "OUT"],
+    "sample-csv": ["sample", "--gen", "fq", "--q", "1/2", "--len", "8", "--csv", "OUT"],
+}
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+@pytest.mark.parametrize("case", sorted(OUTPUT_FLAGS))
+def test_unwritable_output_exits_2(tmp_path, monkeypatch, case, target):
+    """An output path that cannot be written is a bad argument: exit 2 with
+    the code ``unwritable``, not ``malformed``, and no answer on stdout."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps({"entries": [["0", "1"], ["1", "0"]]}))
+    (tmp_path / "pair.json").write_text(json.dumps(VALID_PAIR))
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    code, stdout, err = run_in_process([str(out) if a == "OUT" else a
+                                        for a in OUTPUT_FLAGS[case]])
+    assert code == 2 and stdout == "" and "Traceback" not in err, err
+    error = json.loads(err)
+    assert error["error"] == "unwritable" and str(out) in error["message"]
+
+
 def test_bad_forbidden_count_exits_2_with_its_reason(pair_path):
     pair_path.write_text(json.dumps(VALID_PAIR), encoding="utf-8")
     code, out, err = run_in_process(["escape", str(pair_path), "--forbidden", "1,x"])

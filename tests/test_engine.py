@@ -227,18 +227,33 @@ def test_profile_basis_change_invariance():
         assert profile(matmul(gm, M23)).achieved == profile(M23).achieved
 
 
+# (rows, entry span, collinear columns, column count or None for 1..6)
+CENSUS_SHAPES = ([(2, 3, False, None)] * 30 + [(2, 50, False, None)] * 20
+                 + [(2, 3, True, None)] * 10 + [(2, 50, True, None)] * 10
+                 + [(2, 3, False, 1), (2, 50, False, 1), (1, 3, False, 1)]
+                 + [(1, 3, False, None)] * 5 + [(1, 50, False, None)] * 5)
+
+
 def test_census_matches_pattern_enumeration():
-    """The two-row fast path must agree with the full pattern oracle."""
+    """The profile of at most two rows, read from the direction census,
+    agrees with the full pattern oracle and with the pair census oracle,
+    on general and collinear columns, one column, and one row."""
     rng = random.Random(13)
-    for _ in range(30):
-        n_cols = rng.randint(1, 6)
+    for rows, span, on_line, n_cols in CENSUS_SHAPES:
+        n_cols = n_cols or rng.randint(1, 6)
+        if on_line:
+            base, step = (rng.randint(-span, span), rng.randint(-span, span)), (0, 0)
+            while not any(step):
+                step = (rng.randint(-3, 3), rng.randint(-3, 3))
         cols = set()
         while len(cols) < n_cols:
-            cols.add((rng.randint(-3, 3), rng.randint(-3, 3)))
+            if on_line:
+                t = rng.randint(-span, span)
+                cols.add((base[0] + t * step[0], base[1] + t * step[1]))
+            else:
+                cols.add(tuple(rng.randint(-span, span) for _ in range(rows)))
         cols = sorted(cols)
-        m = RatMatrix.from_rows(
-            [[c[0] for c in cols], [c[1] for c in cols]]
-        )
+        m = RatMatrix.from_rows([[c[i] for c in cols] for i in range(rows)])
         by_census = profile_by_census(m)
         by_patterns = profile_by_patterns(m)
         assert by_census.achieved == by_patterns.achieved
@@ -317,7 +332,7 @@ def _random_matrix(rng, rows, n_cols, values):
 @pytest.mark.parametrize("values", [(-1, 0, 1), tuple(range(-50, 51))],
                          ids=["sign", "wide"])
 def test_profile_matches_oracle(values):
-    """The walk gives the oracles' achieved counts and witnesses: Bell
+    """profile gives the oracles' achieved counts and witnesses: Bell
     enumeration with the lexicographic rule for three or more rows, the pair
     census for at most two."""
     rng = random.Random(16)
@@ -372,9 +387,9 @@ def test_collapse_and_refute_match_fraction_oracle(case):
 @pytest.mark.parametrize("values", [(-1, 0, 1), tuple(range(-50, 51))],
                          ids=["sign", "wide"])
 def test_two_row_profile_matches_census_at_workload_sizes(values):
-    """Two-row walks past the oracle tests' seven columns, where the
-    by-pair choice and the one-pass completion on a line do most of the
-    work: 8-12 columns (at most 9 distinct sign columns)."""
+    """Two-row profiles past the oracle tests' seven columns, where many
+    directions share a count and the first one in the direction census
+    gives the witness: 8-12 columns (at most 9 distinct sign columns)."""
     rng = random.Random(18)
     for _ in range(40):
         m = _random_matrix(rng, 2, rng.randint(8, min(12, len(values) ** 2)), values)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -10,9 +11,8 @@ from limprof.geometry import (
     PointConfig,
     approx_direction_census,
     approx_regular_polygon,
-    _classes,
-    _directions,
     collinear,
+    direction_census,
     escape,
     pinchasi_search,
 )
@@ -23,13 +23,25 @@ SQUARE = PointConfig.of([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
 def pair_directions(config: PointConfig) -> list[Direction]:
-    """All directions determined by two distinct points, sorted canonically."""
-    return [Direction(a, b) for a, b in _directions(integer_vectors(config.points))]
+    """All directions determined by two distinct points, sorted canonically:
+    (dx, dy) // gcd on the integer points, sign made canonical (a > 0, or
+    a == 0 and b > 0). The per-direction oracle of ``direction_census``."""
+    pts = integer_vectors(config.points)
+    dirs = set()
+    for i, (x0, y0) in enumerate(pts):
+        for x1, y1 in pts[i + 1:]:
+            a, b = x1 - x0, y1 - y0
+            g = math.gcd(a, b)
+            if a < 0 or (a == 0 and b < 0):
+                g = -g
+            dirs.add((a // g, b // g))
+    return [Direction(a, b) for a, b in sorted(dirs)]
 
 
 def direction_classes(config: PointConfig, direction: Direction) -> int:
-    """Number of lines parallel to ``direction`` needed to cover the points."""
-    return _classes(integer_vectors(config.points), direction.a, direction.b)
+    """Number of lines parallel to ``direction`` needed to cover the points:
+    the distinct values of b*x - a*y on the integer points."""
+    return len({direction.b * x - direction.a * y for x, y in integer_vectors(config.points)})
 
 
 def direction_of(dx, dy):
@@ -249,13 +261,21 @@ def seeded_configs(seed, count):
 def test_integer_search_matches_fraction_oracle():
     """pair_directions, direction_classes and pinchasi_search on integer
     points give the Fraction oracle's directions, counts and witness, tie
-    break included."""
+    break included; direction_census gives the same directions and counts,
+    keyed in the order of each direction's first pair (i, j)."""
     ties = 0
     for cfg in seeded_configs("pinchasi-oracle", 160):
         dirs, counts, best = fraction_search(cfg)
         assert pair_directions(cfg) == dirs
         assert [direction_classes(cfg, d) for d in dirs] == counts
         assert pinchasi_search(cfg) == best
+        census = direction_census(integer_vectors(cfg.points))
+        assert [Direction(a, b) for a, b in sorted(census)] == pair_directions(cfg)
+        assert [census[d.a, d.b] for d in dirs] == [direction_classes(cfg, d) for d in dirs]
+        pts = cfg.points
+        first_pair_order = dict.fromkeys(direction_of(q[0] - p[0], q[1] - p[1])
+                                         for i, p in enumerate(pts) for q in pts[i + 1:])
+        assert [Direction(a, b) for a, b in census] == list(first_pair_order)
         ties += counts.count(best[1]) > 1
     assert ties >= 100  # the first-in-order rule is what picks the witness
 
