@@ -35,7 +35,9 @@ from .rationals import first_unit_rationals
 from .sequences import StepSequence, combine, step_sequence
 
 GENERIC_CAP = 7
-ODD_CAP = 5
+# An odd certificate's construct and verify each took 0.3 s at k = 6 through the
+# CLI, and 2.2 s at k = 7 in-process (126 MB peak RSS; Python 3.11, 2-core VM).
+ODD_CAP = 6
 FAMILY_CAP = 100_000
 
 

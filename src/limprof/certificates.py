@@ -13,7 +13,7 @@ certificate makes the inputs, reads them and runs the payload; verifying
 reads the stored params and inputs once, runs the same payload, writes the
 inputs back as construct writes them and diffs the rebuilt certificate
 against what is stored. Construct and verify therefore run one code path on
-one set of data.
+one set of data. The odd-profile payload accepts only ``odd_space(k)``.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ from typing import Mapping
 
 from . import __version__
 from .builders import (
-    ODD_CAP,
     independent_family,
     interval_space,
     odd_space,
     polygon_space,
     spaceable_rows,
 )
+# multiplicity and normalize_primitive: no caller here, but perfbench wraps them here
 from .engine import (
     PROFILE_CAP,
     matrix_from_json,
@@ -44,7 +44,7 @@ from .engine import (
     profile,
     refute_interval,
 )
-from .errors import LimprofError, ShapeError, TooLargeError
+from .errors import LimprofError, ShapeError
 from .geometry import approx_direction_census, escape
 from .kernel import (
     RatMatrix,
@@ -248,36 +248,34 @@ def _interval(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
 
 
 def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
+    """The counts of ``odd_space(k)``, every odd number from 3 to 3^k, each measured
+    on its witness: from ``profile`` while PROFILE_CAP admits it, else closed-form."""
     k = int(params["k"])
     mat = inputs["matrix"]
-    if k > ODD_CAP:
-        raise TooLargeError(f"k = {k} exceeds cap {ODD_CAP}")
-    if k < 1 or (mat.rows, mat.cols) != (k, 3**k):
-        raise ShapeError(f"an odd-profile matrix for k = {k} is k x 3^k, "
-                         f"not {mat.rows} x {mat.cols}")
+    if mat != odd_space(k):  # odd_space refuses k past ODD_CAP or below 1
+        raise ShapeError(f"this {mat.rows} x {mat.cols} matrix is not odd_space({k})")
     if mat.cols <= PROFILE_CAP:
-        prof = profile(mat)
-        counts = list(prof.achieved)
-        witnesses = prof.to_json()["witnesses"]
+        witnesses = profile(mat).to_json()["witnesses"]
         method = "exact-profile"
     else:
+        # count 2(m + t) + 1: the head (1, 3, ..., 3^(j-1)) takes every value in
+        # [-m, m] on the sign vectors, and t <= 2m + 1 widens that to [-m-t, m+t]
         witnesses = {}
-        for signs in product((-1, 0, 1), repeat=k):
-            if all(s == 0 for s in signs):
-                continue
-            mu = str(multiplicity(mat, vec(signs)))
-            if mu not in witnesses:
-                witnesses[mu] = [rat_str(x) for x in normalize_primitive(vec(signs))]
-        counts = sorted(int(c) for c in witnesses)
-        method = "sign-pattern-census"
+        for j in range(k):
+            m, head = (3**j - 1) // 2, [str(3**i) for i in range(j)]
+            for t in range(1, 2 * m + 2):
+                witnesses[str(2 * (m + t) + 1)] = head + [str(t)] + ["0"] * (k - j - 1)
+        method = "sign-matrix"
+    # on the integer columns: a positive scale keeps symmetry, zero and size
+    cols = integer_vectors(mat.columns())
+    value_sets = [{sum(map(mul, alpha, c)) for c in cols}
+                  for alpha in map(integer_multiple, map(vec, witnesses.values()))]
+    counts = list(map(len, value_sets))
     all_odd = all(c % 2 == 1 for c in counts)
     at_least = all(c >= 3 for c in counts)
-    # on the integer columns: a positive scale keeps symmetry and zero
-    cols = integer_vectors(mat.columns())
-    value_sets = [{sum(map(mul, integer_multiple(vec(w)), c)) for c in cols}
-                  for w in witnesses.values()]
     sym_ok = all(values == {-v for v in values} for values in value_sets)
     zero_ok = all(0 in values for values in value_sets)
+    exact = counts == list(map(int, witnesses)) == list(range(3, 3**k + 1, 2))
     verification = {
         "method": method,
         "counts": counts,
@@ -285,7 +283,7 @@ def _odd(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
         "allAtLeastThree": at_least,
         "valueSetsSymmetric": sym_ok,
         "valueSetsContainZero": zero_ok,
-        "pass": all_odd and at_least and sym_ok and zero_ok,
+        "pass": all_odd and at_least and sym_ok and zero_ok and exact,
     }
     return witnesses, verification
 

@@ -13,7 +13,8 @@ The edges come from each cap's definition:
   rows), and a matrix with one more column.
 - ``ODD_CAP`` admits ``construct odd --k`` up to ODD_CAP: k == ODD_CAP and
   k == ODD_CAP + 1. ``verify`` of an odd certificate refuses a k past the
-  cap (exit 3) and a matrix that is not k x 3^k (exit 2) before any work.
+  cap (exit 3) and a matrix that is not ``odd_space(k)`` (exit 2), of the
+  wrong shape or of the right one, before any work.
 - ``FAMILY_CAP`` admits ``construct independent`` while split^k <=
   FAMILY_CAP: for each split, the largest such k and k + 1, and a k of
   10^12 is refused at once.
@@ -202,6 +203,7 @@ def crafted_odd_certificate(path: Path, k: int, rows: int, cols: int) -> None:
 ODD_VERIFY_REFUSALS = [
     (14, 14, 13, 3, "too-large"),  # k past ODD_CAP
     (3, 3, 20_000, 2, "shape"),  # not k x 3^k: a 300 KB file
+    (3, 3, 27, 2, "shape"),  # k x 3^k, but not odd_space(k)
 ]
 
 
@@ -216,6 +218,7 @@ def test_verify_odd_certificate_refuses_cap_and_shape_first(k, rows, cols, code,
 
     monkeypatch.setattr(certificates, "profile", no_work)
     monkeypatch.setattr(certificates, "multiplicity", no_work)
+    monkeypatch.setattr(certificates, "integer_vectors", no_work)
     start = time.perf_counter()
     assert cli.main(["verify", str(cert)]) == code
     assert time.perf_counter() - start < 1.0

@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import operator
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limprof import certificates
+from limprof.builders import odd_space
 from limprof.certificates import (
     Certificate,
     build_escape_certificate,
@@ -21,8 +24,9 @@ from limprof.certificates import (
     canonical_json,
     verify_certificate,
 )
+from limprof.engine import multiplicity
 from limprof.errors import LimprofError
-from limprof.kernel import RatMatrix
+from limprof.kernel import RatMatrix, vec
 from limprof.lab import estimate_clusters, gen_rich
 from limprof.sequences import InfinitudeRelation, step_sequence
 
@@ -39,7 +43,7 @@ def test_interval_certificate_verifies():
     assert ok and not mismatches
 
 
-def test_odd_certificate_small_and_census():
+def test_odd_certificate_small_and_sign_matrix():
     small = build_odd_certificate(2)
     assert small.holds
     assert small.verification["counts"] == [3, 5, 7, 9]
@@ -48,10 +52,35 @@ def test_odd_certificate_small_and_census():
     assert ok
     big = build_odd_certificate(3)
     assert big.holds
-    assert big.verification["method"] == "sign-pattern-census"
-    assert all(c % 2 == 1 and c >= 3 for c in big.verification["counts"])
+    assert big.verification["method"] == "sign-matrix"
+    assert big.verification["counts"] == list(range(3, 28, 2))
     ok, _ = verify_certificate(roundtrip(big))
     assert ok
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_odd_counts_cover_the_sign_direction_census(k):
+    """The sign-direction census the odd certificate used to store: the count
+    of every nonzero direction in {-1, 0, 1}^k is one of its counts."""
+    cert = build_odd_certificate(k)
+    mat = odd_space(k)
+    census = {multiplicity(mat, vec(signs))
+              for signs in product((-1, 0, 1), repeat=k) if any(signs)}
+    assert census <= set(cert.verification["counts"])
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_odd_witness_counts_match_fraction_oracle(k):
+    """Each witness's count, recomputed in Fraction arithmetic over the sign
+    vectors themselves, is its key; the keys are every odd count up to 3^k."""
+    cert = build_odd_certificate(k)
+    assert cert.holds
+    signs = list(product((-1, 0, 1), repeat=k))
+    for count, alpha in cert.witnesses.items():
+        a = [Fraction(x) for x in alpha]
+        assert len({sum(map(operator.mul, a, s), Fraction(0)) for s in signs}) == int(count)
+    assert sorted(map(int, cert.witnesses)) == list(range(3, 3**k + 1, 2))
+    assert cert.verification["counts"] == list(range(3, 3**k + 1, 2))
 
 
 def test_polygon_certificates_both_modes():
@@ -156,12 +185,13 @@ def test_tampered_witness_is_located():
 
 
 def test_tampered_transcript_is_located():
-    cert = build_odd_certificate(2)
-    data = json.loads(cert.dumps())
-    data["verification"]["counts"] = [3, 5, 7]
-    ok, mismatches = verify_certificate(Certificate.from_json(data))
-    assert not ok
-    assert any(m.startswith("verification.counts") for m in mismatches)
+    for k in (2, 3):  # the exact-profile and the sign-matrix branch
+        cert = build_odd_certificate(k)
+        data = json.loads(cert.dumps())
+        data["verification"]["counts"] = [3, 5, 7]
+        ok, mismatches = verify_certificate(Certificate.from_json(data))
+        assert not ok
+        assert any(m.startswith("verification.counts") for m in mismatches)
 
 
 def test_unknown_claim_rejected():

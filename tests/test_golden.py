@@ -40,6 +40,7 @@ BUILDS = {
     "interval-2-1": lambda: build_interval_certificate(2, 1),
     "interval-4-2": lambda: build_interval_certificate(4, 2),
     "odd-2": lambda: build_odd_certificate(2),
+    "odd-3": lambda: build_odd_certificate(3),
     "polygon-3-exact": lambda: build_polygon_certificate(3),
     "polygon-5-approximate": lambda: build_polygon_certificate(5),
     "independent-3-2": lambda: build_independent_certificate(3, 2),
