@@ -213,25 +213,6 @@ class IndependentFamily:
     split: int
     atoms: tuple[tuple[int, ...], ...]
 
-    def piece(self, generator: int, sign: int) -> tuple[int, ...]:
-        if not 0 <= generator < self.k:
-            raise ShapeError("generator index out of range")
-        return self._pieces[generator].get(sign, ())
-
-    @cached_property
-    def _pieces(self) -> list[dict[int, tuple[int, ...]]]:
-        """Per generator, sign -> ascending atom indices: one pass over the
-        generator's column of the atom table. The pieces share one set of
-        index objects."""
-        index = tuple(range(len(self.atoms)))
-        pieces = []
-        for column in list(zip(*self.atoms)) or [()] * self.k:
-            groups: dict[int, list[int]] = {s: [] for s in set(column)}
-            for i, s in zip(index, column):
-                groups[s].append(i)
-            pieces.append({s: tuple(ix) for s, ix in groups.items()})
-        return pieces
-
 
 def independent_family(k: int, split: int = 2) -> IndependentFamily:
     if split not in (2, 3):

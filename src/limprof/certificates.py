@@ -302,11 +302,9 @@ def _independent(params: Mapping, inputs: Mapping) -> tuple[dict, dict]:
     k, split = int(params["k"]), int(params["split"])
     fam = independent_family(k, split)
     signs = (0, 1) if split == 2 else (-1, 0, 1)
-    universe = list(range(len(fam.atoms)))
-    pieces_partition = all(
-        sorted(chain.from_iterable(fam.piece(g, s) for s in signs)) == universe
-        for g in range(k)
-    )
+    # Generator g's pieces are the classes of the atoms' g-th coordinates, so
+    # they partition the atoms exactly when every coordinate is a sign.
+    pieces_partition = set(chain.from_iterable(fam.atoms)) <= set(signs)
     hits = Counter(fam.atoms)
     full_patterns_single = all(hits[pattern] == 1 for pattern in product(signs, repeat=k))
     return {}, {

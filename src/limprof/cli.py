@@ -3,7 +3,8 @@
 Subcommands: construct, profile, refute, escape, sample, verify.
 Exit codes: 0 success/verified, 1 claim fails, 2 malformed input (its
 ``LimprofError``, or an ``OSError`` reading a file) or an output path that
-cannot be written (``unwritable``: every output goes through ``_output``),
+cannot be written (``unwritable``: every output goes through ``_outputs``, so
+a run that exits 2 or above creates or replaces no output file),
 3 resource cap, 4 any other exception: a bug in limprof, not in the input.
 A failure writes one JSON line with an ``error`` code to stderr. construct
 and verify run the same per-claim payload, ``certificates.CLAIMS``. Output
@@ -15,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import functools
+import itertools
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -73,20 +77,52 @@ def _read_json(path: str):
         raise ShapeError(f"{path}: not a JSON file: {exc}") from None
 
 
+def _open_beside(path: str):
+    """A new file beside ``path``, named for this process, opened for
+    writing text as is. A directory at ``path`` raises IsADirectoryError
+    here, before anything is written, as opening it would."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    for n in itertools.count():
+        try:
+            return open(f"{path}.{os.getpid()}.{n}.tmp", "x", encoding="utf-8", newline="")
+        except FileExistsError:
+            pass
+
+
 @contextlib.contextmanager
-def _output(path: str):
-    """The file ``path`` opened for writing text as is; an OSError while
-    opening or writing it (a missing directory, a directory, no
-    permission) raises UnwritableError."""
+def _outputs(*paths: str | None):
+    """One file per path, opened for writing text as is (None for a path
+    that is None), held open together. Each is written beside its path and
+    renamed onto it, in the order given, only when the block ends cleanly
+    and every file is closed; otherwise the new files are removed, so a
+    failed run creates or replaces no output. An OSError (a missing
+    directory, a directory, no permission) raises UnwritableError."""
+    files = []
+    where = None  # the path being opened, closed or renamed; in the block, any
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        for where in paths:
+            files.append(_open_beside(where) if where else None)
+        where = ", ".join(filter(None, paths))
+        yield files
+        for where, fh in zip(paths, files):
+            if fh is not None:
+                fh.close()
+        for where, fh in zip(paths, files):
+            if fh is not None:
+                os.replace(fh.name, where)
+        files.clear()  # every new file is in place: nothing left to remove
     except OSError as exc:
-        raise UnwritableError(f"{path}: cannot write: {exc}") from None
+        raise UnwritableError(f"{where}: cannot write: {exc}") from None
+    finally:
+        for fh in filter(None, files):
+            fh.close()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(fh.name)
 
 
 def _write_text(path: str, text: str) -> None:
-    with _output(path) as fh:
+    with _outputs(path) as (fh,):
         fh.write(text)
 
 
@@ -103,7 +139,7 @@ def _emit_certificate(cert: Certificate, cert_path: str | None) -> None:
 
 def _family_artifact(cert: Certificate) -> dict:
     fam = builders.independent_family(cert.params["k"], cert.params["split"])
-    return {"k": fam.k, "split": fam.split, "atoms": [list(a) for a in fam.atoms]}
+    return {"k": fam.k, "split": fam.split, "atoms": fam.atoms}
 
 
 # kind -> (certificate from the parsed flags, artifact from that certificate).
@@ -127,19 +163,22 @@ CONSTRUCTS = {
 def cmd_construct(args) -> int:
     build, artifact = CONSTRUCTS[args.kind]
     cert = build(args)
-    if args.out:
-        _write_text(args.out, canonical_json(artifact(cert)))
     cert_path = args.cert
     if cert_path is None and args.out:
         cert_path = str(Path(args.out).with_suffix("")) + ".cert.json"
-    _emit_certificate(cert, cert_path)
     if cert_path:
+        with _outputs(args.out, cert_path) as (out_fh, cert_fh):
+            if out_fh is not None:
+                out_fh.write(canonical_json(artifact(cert)))
+            cert_fh.write(cert.dumps())
         summary = {"claim": cert.claim, "mode": cert.mode, "pass": cert.holds}
         if "counts" in cert.verification:
             summary["counts"] = cert.verification["counts"]
         if "profile" in cert.verification:
             summary["counts"] = cert.verification["profile"]["achieved"]
         print(json.dumps(summary, sort_keys=True))
+    else:
+        sys.stdout.write(cert.dumps())
     return 0 if cert.holds else 1
 
 
@@ -265,18 +304,17 @@ def cmd_sample(args) -> int:
     estimate = estimate_clusters(
         seq, args.len, tail_fraction=args.tail, epsilon=args.epsilon
     )
-    if args.csv:
-        # One row per value as it is computed, so memory stays flat in --len.
-        with _output(args.csv) as fh:
-            fh.write("index,value\n")
+    text = canonical_json(estimate.to_json())
+    with _outputs(args.csv, args.clusters) as (csv_fh, clusters_fh):
+        if csv_fh is not None:
+            # One row per value as it is computed, so memory stays flat in --len.
+            csv_fh.write("index,value\n")
             for i in range(args.len):
                 v = seq.value_at(i)
                 cell = rat_str(v) if args.exact else f"{float(v):.17g}"
-                fh.write(f"{i},{cell}\n")
-    payload = estimate.to_json()
-    text = canonical_json(payload)
-    if args.clusters:
-        _write_text(args.clusters, text)
+                csv_fh.write(f"{i},{cell}\n")
+        if clusters_fh is not None:
+            clusters_fh.write(text)
     sys.stdout.write(text)
     return 0
 

@@ -71,6 +71,12 @@ from .kernel import (
 from .sequences import StepSequence
 
 PROFILE_CAP = 12
+# sample_profile's grid-walk tuples x columns. The cost of a tuple grows
+# with the rows, so one column is the slowest shape. At this cap the slowest
+# admitted grids, 6 x 1 at max-norm 3 and 10 x 2 at max-norm 1, took 1.4-2.5 s
+# in-process (Python 3.11, 2 CPUs, entries in [-50, 50] or {-1, 0, 1});
+# 11 x 1 at max-norm 1 (177,148 tuples) took 3-5 s and is refused.
+GRID_CAP = 150_000
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,17 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
                    extra: Sequence[Sequence] = ()) -> MultiplicityProfile:
     """Under-approximation of the profile by scanning an integer grid of
     coefficient rows (max-norm shells up to ``max_norm``) plus any ``extra``
-    rows. Sampling can only miss counts, never invent them."""
+    rows. Sampling can only miss counts, never invent them. The walk scans
+    each shell s as a cube of (2s+1)^rows tuples; past GRID_CAP scanned
+    tuples x columns it raises TooLargeError before any tuple."""
+    walked = 1
+    for s in range(1, max_norm + 1):  # no power of a huge row count
+        walked += (2 * s + 1) ** min(m.rows, GRID_CAP.bit_length())
+        if walked * m.cols > GRID_CAP:
+            raise TooLargeError(
+                f"the max-norm grid on a {m.rows} x {m.cols} matrix exceeds "
+                f"the sampling cap of {GRID_CAP} tuples x columns"
+            )
     cols = _canonical_columns(m)
     witnesses: dict[int, Vec] = {}
     for a in chain(integer_tuples(m.rows, max_shell=max_norm), extra):

@@ -1,9 +1,14 @@
 import json
+from collections import Counter
 from fractions import Fraction
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from limprof import certificates
 from limprof.builders import (
     IndependentFamily,
     _acceptance_test,
@@ -16,12 +21,13 @@ from limprof.builders import (
     spaceable_rows,
     value_ladder,
 )
+from limprof.certificates import build_independent_certificate
 from limprof.engine import (
     multiplicity,
     profile,
     refute_interval,
 )
-from limprof.errors import ShapeError, TooLargeError
+from limprof.errors import TooLargeError
 from limprof.kernel import RatMatrix, integer_tuples, rank_of_vectors, vec
 from limprof.sequences import combine
 from profile_oracle import profile_by_patterns, set_partitions
@@ -197,38 +203,65 @@ def test_polygon_approximate_profiles():
         assert len(poly.vertices) == 2 * n
 
 
+def scan_piece(fam, generator, sign):
+    """Generator ``generator``'s piece for ``sign``: the ascending indices of
+    the atoms whose coordinate there is ``sign``."""
+    return tuple(i for i, a in enumerate(fam.atoms) if a[generator] == sign)
+
+
 def test_independent_family_examples():
     fam = independent_family(1, split=2)
     assert fam.atoms == ((0,), (1,))
-    assert fam.piece(0, 1) == (1,)
+    assert scan_piece(fam, 0, 1) == (1,)
     fam = independent_family(2, split=2)
     assert len(fam.atoms) == 4
     for e1 in (0, 1):
         for e2 in (0, 1):
-            hits = set(fam.piece(0, e1)) & set(fam.piece(1, e2))
+            hits = set(scan_piece(fam, 0, e1)) & set(scan_piece(fam, 1, e2))
             assert len(hits) == 1
     fam = independent_family(2, split=3)
     assert len(fam.atoms) == 9
 
 
-def scan_piece(fam, generator, sign):
-    """The oracle: rescan every atom for one (generator, sign) pair."""
-    return tuple(i for i, a in enumerate(fam.atoms) if a[generator] == sign)
+def piece_transcript(fam):
+    """The oracle for the independent-family certificate's two booleans,
+    computed piece by piece: each generator's pieces, one atom scan per
+    sign, joined and sorted, must be the atom universe; and every sign
+    pattern must be exactly one atom."""
+    signs = (0, 1) if fam.split == 2 else (-1, 0, 1)
+    universe = list(range(len(fam.atoms)))
+    partition = all(
+        sorted(chain.from_iterable(scan_piece(fam, g, s) for s in signs)) == universe
+        for g in range(fam.k)
+    )
+    hits = Counter(fam.atoms)
+    single = all(hits[pattern] == 1 for pattern in product(signs, repeat=fam.k))
+    return partition, single
 
 
-def test_indexed_pieces_match_the_atom_scan():
-    families = [independent_family(k, split) for k in range(1, 7) for split in (2, 3)]
-    # Atom tables no builder makes: unsorted, repeated, and with values
-    # outside every split's signs.
-    families += [IndependentFamily(2, 3, ((1, 0), (-1, 5), (1, 0), (0, -1), (7, 5))),
-                 IndependentFamily(1, 2, ((0,),)),
-                 IndependentFamily(3, 2, ())]
-    for fam in families:
-        for g in range(fam.k):
-            for sign in (-1, 0, 1, 2, 5, 7):
-                assert fam.piece(g, sign) == scan_piece(fam, g, sign), (fam, g, sign)
-        with pytest.raises(ShapeError):
-            fam.piece(fam.k, 0)
+@st.composite
+def atom_tables(draw):
+    """A family's atom table with some atoms dropped, some repeated and some
+    drawn from {-1, 0, 1, 2}^k, which holds a sign foreign to either split."""
+    k, split = draw(st.integers(1, 4)), draw(st.sampled_from([2, 3]))
+    full = independent_family(k, split).atoms
+    dropped = draw(st.sets(st.integers(0, len(full) - 1), max_size=3))
+    atoms = [a for i, a in enumerate(full) if i not in dropped]
+    atoms += draw(st.lists(st.sampled_from(atoms or [(0,) * k]), max_size=3))
+    atoms += draw(st.lists(st.tuples(*[st.sampled_from([-1, 0, 1, 2])] * k), max_size=3))
+    return IndependentFamily(k, split, tuple(draw(st.permutations(atoms))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(atom_tables())
+def test_independent_certificate_matches_the_piece_oracle(fam):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(certificates, "independent_family", lambda k, split: fam)
+        cert = build_independent_certificate(fam.k, fam.split)
+    found = (cert.verification["piecesPartitionUniverse"],
+             cert.verification["fullPatternsHitExactlyOneAtom"])
+    assert found == piece_transcript(fam), fam
+    assert cert.holds == all(found)
 
 
 def nonconvergent_span(k: int) -> RatMatrix:

@@ -20,6 +20,11 @@ The edges come from each cap's definition:
   10^12 is refused at once.
 - ``POLYGON_CAP`` admits ``construct polygon --n`` up to POLYGON_CAP:
   n == POLYGON_CAP and n == POLYGON_CAP + 1.
+- ``GRID_CAP`` admits ``profile --sample`` while the grid walk's tuples
+  times the columns stay within it: on one row and one column the largest
+  such max-norm and the next; the slowest admitted shape,
+  ``GRID_EDGE_SHAPE`` (rows, columns, max-norm), and one more column or
+  max-norm there; and a max-norm of 10^4000 is refused at once.
 - ``SAMPLE_CAP`` admits ``sample --len`` up to SAMPLE_CAP on the paths that
   visit every index, ``--gen rich`` and ``--csv``: both at once at
   --len == SAMPLE_CAP, and each alone at SAMPLE_CAP + 1.
@@ -49,7 +54,14 @@ from limprof.builders import (
     polygon_space,
 )
 from limprof.cli import SAMPLE_CAP
-from limprof.engine import PROFILE_CAP, matrix_to_json, multiplicity, profile
+from limprof.engine import (
+    GRID_CAP,
+    PROFILE_CAP,
+    matrix_to_json,
+    multiplicity,
+    profile,
+    sample_profile,
+)
 from limprof.errors import TooLargeError
 from limprof.kernel import RatMatrix, vec
 
@@ -60,6 +72,12 @@ BUDGET_S = 20.0
 # 2.3 s at 6, 3.6 s at 7, 2.4 s at 8, 0.6 s at 9 and under 0.1 s at 2, 3
 # and from 10 rows on. Entries in {0, 1} or {-1, 0, 1} took at most 1.2 s.
 PROFILE_EDGE_ROWS = 7
+
+# At GRID_CAP, one sampled profile at its largest admitted max-norm took
+# (Python 3.11, 2 CPUs, entries in [-50, 50] or {-1, 0, 1}, 1 to 12 rows
+# with 1, 2, 4, 13 or 40 columns): 1.4-2.5 s at 6 rows x 1 column
+# (max-norm 3) and 10 x 2 (max-norm 1), under 2.1 s for every other shape.
+GRID_EDGE_SHAPE = (6, 1, 3)
 
 
 def run_cli(*args):
@@ -340,3 +358,68 @@ def test_sample_cap_is_checked_before_the_estimate(path, tmp_path, monkeypatch):
     argv = ["sample", *linear_sample_flags(path, tmp_path), "--len", str(SAMPLE_CAP + 1)]
     assert cli.main(argv) == 3
     assert list(tmp_path.iterdir()) == []
+
+
+def grid_walk(rows, max_norm):
+    """Tuples the sampling walk scans: one cube of (2s+1)^rows per shell s."""
+    return 1 + sum((2 * s + 1) ** rows for s in range(1, max_norm + 1))
+
+
+def grid_edge(rows, cols):
+    """The largest max-norm whose walk times ``cols`` is within GRID_CAP."""
+    s = 0
+    while grid_walk(rows, s + 1) * cols <= GRID_CAP:
+        s += 1
+    return s
+
+
+def sample_cli(tmp_path, m, max_norm):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix_to_json(m)))
+    return run_cli("profile", str(path), "--sample", str(max_norm), "--seed", "1",
+                   "--out", str(tmp_path / "out.json"))
+
+
+@pytest.mark.parametrize("rows, cols, max_norm", [(1, 1, grid_edge(1, 1)), GRID_EDGE_SHAPE])
+def test_sample_at_grid_cap_finishes(rows, cols, max_norm, tmp_path):
+    assert max_norm >= 1 and grid_walk(rows, max_norm) * cols <= GRID_CAP
+    assert grid_walk(rows, max_norm + 1) * cols > GRID_CAP
+    m = wide_matrix(rows, cols)
+    p = sample_cli(tmp_path, m, max_norm)
+    assert p.returncode == 0, p.stderr
+    result = json.loads(p.stdout)
+    assert result["method"] == "sampled-lower-bound"
+    assert result["profile"]["achieved"] == [1]
+    assert (tmp_path / "out.json").read_text() == p.stdout
+
+
+@pytest.mark.parametrize("rows, cols, max_norm", [
+    (1, 1, grid_edge(1, 1) + 1),
+    (GRID_EDGE_SHAPE[0], GRID_EDGE_SHAPE[1] + 1, GRID_EDGE_SHAPE[2]),
+    (GRID_EDGE_SHAPE[0], GRID_EDGE_SHAPE[1], GRID_EDGE_SHAPE[2] + 1),
+    pytest.param(1, 1, 10**4000, id="1-1-10^4000"),
+])
+def test_sample_past_grid_cap_exits_3(rows, cols, max_norm, tmp_path):
+    m = wide_matrix(rows, cols)
+    start = time.perf_counter()
+    p = sample_cli(tmp_path, m, max_norm)
+    assert time.perf_counter() - start < 5.0
+    assert p.returncode == 3
+    assert json.loads(p.stderr)["error"] == "too-large"
+    assert p.stdout == "" and sorted(f.name for f in tmp_path.iterdir()) == ["m.json"]
+
+
+@pytest.mark.parametrize("rows, cols, max_norm", [
+    (1, 1, grid_edge(1, 1) + 1),
+    (GRID_EDGE_SHAPE[0], GRID_EDGE_SHAPE[1], GRID_EDGE_SHAPE[2] + 1),
+    (10**4, 1, 1),
+])
+def test_grid_cap_is_checked_before_the_walk(rows, cols, max_norm, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("grid walk started past the cap")
+
+    monkeypatch.setattr(engine, "integer_tuples", no_walk)
+    monkeypatch.setattr(engine, "integer_vectors", no_walk)
+    m = RatMatrix.from_rows([[i + j for j in range(cols)] for i in range(rows)])
+    with pytest.raises(TooLargeError):
+        sample_profile(m, max_norm=max_norm)

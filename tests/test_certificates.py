@@ -104,18 +104,27 @@ def test_independent_certificate():
     assert ok
 
 
+# An edit of the atom table -> (piecesPartitionUniverse, fullPatternsHitExactlyOneAtom)
+ATOM_EDITS = {
+    "repeated": (lambda atoms: atoms + atoms[:1], (True, False)),
+    "missing": (lambda atoms: atoms[1:], (True, False)),
+    "foreign-sign": (lambda atoms: ((2,) + atoms[0][1:],) + atoms[1:], (False, False)),
+}
+
+
 def test_independent_certificate_detects_a_repeated_atom(monkeypatch):
+    """And a missing atom, and an atom with a sign foreign to the split."""
     real = certificates.independent_family
+    for edit, (change, (partition, single)) in ATOM_EDITS.items():
+        def edited(k, split):
+            fam = real(k, split)
+            return dataclasses.replace(fam, atoms=change(fam.atoms))
 
-    def repeated(k, split):
-        fam = real(k, split)
-        return dataclasses.replace(fam, atoms=fam.atoms + fam.atoms[:1])
-
-    monkeypatch.setattr(certificates, "independent_family", repeated)
-    cert = build_independent_certificate(2, 3)
-    assert cert.verification["piecesPartitionUniverse"]
-    assert not cert.verification["fullPatternsHitExactlyOneAtom"]
-    assert not cert.holds
+        monkeypatch.setattr(certificates, "independent_family", edited)
+        cert = build_independent_certificate(2, 3)
+        assert cert.verification["piecesPartitionUniverse"] is partition, edit
+        assert cert.verification["fullPatternsHitExactlyOneAtom"] is single, edit
+        assert not cert.holds, edit
 
 
 @pytest.mark.parametrize("n, name", [(5, "approx_direction_census"), (3, "profile")])

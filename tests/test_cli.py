@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -691,32 +692,101 @@ def test_bad_list_value_exits_2_with_its_reason(flag, value, reason):
 
 
 # Every flag that names an output file; "OUT" is where its path goes. The
-# inputs m.json and pair.json are written to the working directory.
+# inputs m.json and pair.json are written to the working directory. In the
+# two-output cases "KEPT" is a writable path, kept.out in that directory.
 OUTPUT_FLAGS = {
     "construct-out": ["construct", "odd", "--k", "2", "--out", "OUT"],
     "construct-cert": ["construct", "odd", "--k", "2", "--cert", "OUT"],
+    "construct-kept-out-cert": ["construct", "odd", "--k", "2", "--out", "KEPT",
+                                "--cert", "OUT"],
+    "construct-out-kept-cert": ["construct", "odd", "--k", "2", "--out", "OUT",
+                                "--cert", "KEPT"],
     "profile-out": ["profile", "m.json", "--out", "OUT"],
     "refute-cert": ["refute", "m.json", "--n", "2", "--d", "0", "--cert", "OUT"],
     "escape-cert": ["escape", "pair.json", "--forbidden", "0", "--cert", "OUT"],
     "sample-clusters": ["sample", "--gen", "fq", "--q", "1/2", "--len", "8", "--clusters", "OUT"],
     "sample-csv": ["sample", "--gen", "fq", "--q", "1/2", "--len", "8", "--csv", "OUT"],
+    "sample-kept-csv-clusters": ["sample", "--gen", "fq", "--q", "1/2", "--len", "8",
+                                 "--csv", "KEPT", "--clusters", "OUT"],
+    "sample-csv-kept-clusters": ["sample", "--gen", "fq", "--q", "1/2", "--len", "8",
+                                 "--csv", "OUT", "--clusters", "KEPT"],
 }
+
+
+def run_with_an_unwritable_output(tmp_path, case, target):
+    """Exit code, stdout and stderr of OUTPUT_FLAGS[case] with OUT in a
+    missing directory or a directory, run in ``tmp_path``."""
+    (tmp_path / "m.json").write_text(json.dumps({"entries": [["0", "1"], ["1", "0"]]}))
+    (tmp_path / "pair.json").write_text(json.dumps(VALID_PAIR))
+    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+    paths = {"OUT": str(out), "KEPT": str(tmp_path / "kept.out")}
+    return out, run_in_process([paths.get(a, a) for a in OUTPUT_FLAGS[case]])
 
 
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 @pytest.mark.parametrize("case", sorted(OUTPUT_FLAGS))
 def test_unwritable_output_exits_2(tmp_path, monkeypatch, case, target):
     """An output path that cannot be written is a bad argument: exit 2 with
-    the code ``unwritable``, not ``malformed``, and no answer on stdout."""
+    the code ``unwritable``, not ``malformed``, no answer on stdout, and
+    no file created, the other output's included."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "m.json").write_text(json.dumps({"entries": [["0", "1"], ["1", "0"]]}))
-    (tmp_path / "pair.json").write_text(json.dumps(VALID_PAIR))
-    out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
-    code, stdout, err = run_in_process([str(out) if a == "OUT" else a
-                                        for a in OUTPUT_FLAGS[case]])
+    before = ["m.json", "pair.json"]
+    out, (code, stdout, err) = run_with_an_unwritable_output(tmp_path, case, target)
     assert code == 2 and stdout == "" and "Traceback" not in err, err
     error = json.loads(err)
     assert error["error"] == "unwritable" and str(out) in error["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("case", sorted(c for c in OUTPUT_FLAGS if "KEPT" in OUTPUT_FLAGS[c]))
+def test_unwritable_output_keeps_an_existing_file(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    kept = tmp_path / "kept.out"
+    kept.write_bytes(b"earlier bytes\n")
+    _, (code, _, _) = run_with_an_unwritable_output(tmp_path, case, "missing-directory")
+    assert code == 2 and kept.read_bytes() == b"earlier bytes\n"
+
+
+def test_construct_out_keeps_its_bytes_when_the_certificate_path_is_a_directory(tmp_path):
+    out = tmp_path / "odd.json"
+    out.write_bytes(b"earlier bytes\n")
+    (tmp_path / "odd.cert.json").mkdir()
+    code, stdout, err = run_in_process(["construct", "odd", "--k", "2", "--out", str(out)])
+    assert code == 2 and stdout == "" and json.loads(err)["error"] == "unwritable"
+    assert out.read_bytes() == b"earlier bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["odd.cert.json", "odd.json"]
+
+
+@pytest.mark.parametrize("flags, final", [
+    (["construct", "odd", "--k", "2", "--out", "SAME", "--cert", "SAME"], "certificate"),
+    (["sample", "--gen", "fq", "--q", "1/2", "--len", "8", "--csv", "SAME",
+      "--clusters", "SAME"], "clusters"),
+])
+def test_two_flags_naming_one_path_keep_the_later_output(tmp_path, flags, final):
+    """The outputs are renamed into place in the order they were written,
+    so the path holds the second one: the certificate, or the clusters."""
+    same = tmp_path / "same.json"
+    code, stdout, _ = run_in_process([str(same) if a == "SAME" else a for a in flags])
+    assert code == 0 and [p.name for p in tmp_path.iterdir()] == ["same.json"]
+    text = same.read_text(encoding="utf-8")
+    if final == "certificate":
+        assert json.loads(text)["claim"] == "odd-profile"
+    else:
+        assert text == stdout
+
+
+@pytest.mark.parametrize("k, split", [(3, 2), (3, 3), (8, 3)])
+def test_independent_artifact_bytes(tmp_path, k, split):
+    """The artifact is the atom table as arrays, written as canonical JSON."""
+    out = tmp_path / "family.json"
+    code, _, err = run_in_process(["construct", "independent", "--k", str(k),
+                                   "--split", str(split), "--out", str(out)])
+    assert code == 0, err
+    values = (0, 1) if split == 2 else (-1, 0, 1)
+    expected = {"k": k, "split": split,
+                "atoms": [list(a) for a in itertools.product(values, repeat=k)]}
+    assert out.read_text(encoding="utf-8") == json.dumps(
+        expected, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
 def test_bad_forbidden_count_exits_2_with_its_reason(pair_path):

@@ -73,3 +73,18 @@ def test_no_module_imports_a_private_name_of_another():
             found += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                       if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert not found, found
+
+
+def test_every_cap_constant_has_its_edge_in_the_cap_tests():
+    """A module-level ``*_CAP`` constant is a resource contract, and
+    ``tests/test_caps.py`` is where each one's edge is tested."""
+    caps = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            targets = node.targets if isinstance(node, ast.Assign) else [
+                getattr(node, "target", None)]
+            caps += [t.id for t in targets if isinstance(t, ast.Name) and t.id.endswith("_CAP")]
+    assert caps
+    tested = _referenced_names(ROOT / "tests" / "test_caps.py")
+    assert [name for name in caps if name not in tested] == []
