@@ -39,6 +39,10 @@ GENERIC_CAP = 7
 # CLI, and 2.2 s at k = 7 in-process (126 MB peak RSS; Python 3.11, 2-core VM).
 ODD_CAP = 6
 FAMILY_CAP = 100_000
+# (n_max, k_max): the all-ones combination's refinement grows as n_max^3 k_max.
+# At (80, 80) construct and verify each took 1.6 s through the CLI, both
+# flavors, and 3.4 s at (100, 100) (Python 3.11, 2-core VM).
+SPACEABLE_CAP = (80, 80)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +336,8 @@ def value_ladder(k_max: int, flavor: str = "dyadic") -> tuple[Fraction, ...]:
 def spaceable_rows(n_max: int, k_max: int, flavor: str = "dyadic") -> SpaceableFamily:
     if n_max < 1:
         raise ShapeError("need n_max >= 1")
+    if n_max > SPACEABLE_CAP[0] or k_max > SPACEABLE_CAP[1]:
+        raise TooLargeError(f"(n_max, k_max) = ({n_max}, {k_max}) exceeds cap {SPACEABLE_CAP}")
     ladder = value_ladder(k_max, flavor)
     rows = []
     for r in range(n_max):

@@ -134,6 +134,11 @@ def _multiplicity(cols: Sequence[tuple[int, ...]], alpha: Sequence) -> int:
         raise ShapeError("alpha length must equal the row count")
     if not any(a):
         raise ZeroDirectionError("alpha must be nonzero")
+    return _distinct(cols, a)
+
+
+def _distinct(cols: Sequence[tuple[int, ...]], a: Sequence[int]) -> int:
+    """Distinct entries of a^T M on integer columns and an integer ``a``."""
     return len({sum(map(mul, a, c)) for c in cols})
 
 
@@ -320,10 +325,13 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
                 f"the sampling cap of {GRID_CAP} tuples x columns"
             )
     cols = _canonical_columns(m)
+    # grid tuples are ints already; only the extra rows are scaled
+    grid = ((a, _distinct(cols, a))
+            for a in integer_tuples(m.rows, max_shell=max_norm) if any(a))
+    rows = ((a, _multiplicity(cols, a)) for a in map(vec, extra) if any(a))
     witnesses: dict[int, Vec] = {}
-    for a in chain(integer_tuples(m.rows, max_shell=max_norm), extra):
-        a = vec(a)
-        if any(a) and (mu := _multiplicity(cols, a)) not in witnesses:
+    for a, mu in chain(grid, rows):
+        if mu not in witnesses:
             witnesses[mu] = normalize_primitive(a)
     return MultiplicityProfile(tuple(sorted(witnesses)), witnesses)
 

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter, getitem
+from functools import reduce
+from operator import and_, attrgetter, getitem, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadRelationError, EmptyInputError, ShapeError
-from .kernel import json_object, json_rat, json_value, rat, rat_str
+from .kernel import integer_multiple, json_object, json_rat, json_value, rat, rat_str
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
@@ -197,62 +198,48 @@ def pair_from_json(data) -> tuple[StepSequence, StepSequence, InfinitudeRelation
             InfinitudeRelation.from_json(rel))
 
 
-RelationTable = Mapping[tuple[int, int], frozenset[tuple[int, int]]]
+def _masks(pairs: Iterable, nl: int, nr: int) -> list[int]:
+    """Per left atom a, the mask of the b with (a, b) in ``pairs``; checked
+    as InfinitudeRelation checks."""
+    masks = [0] * nl
+    for a, b in pairs:
+        if not (0 <= a < nl and 0 <= b < nr):
+            raise BadRelationError(f"pair ({a},{b}) out of range")
+        masks[a] |= 1 << b
+    if not all(masks):
+        raise BadRelationError("some left atom occurs in no pair")
+    if reduce(or_, masks) != (1 << nr) - 1:
+        raise BadRelationError("some right atom occurs in no pair")
+    return masks
 
 
-def _pair_table(
-    coeff_count: int,
-    xs: Sequence[StepSequence],
-    rel,
-) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
-    """Normalize the relation argument to a table keyed by sequence index pairs.
-
-    Defaults: sequences over the same atom ids relate by identity (that is the
-    only realizable relation of a partition with itself); otherwise all
-    intersections are taken to be infinite (generic position).
-    """
-    table: dict[tuple[int, int], frozenset[tuple[int, int]]] = {}
-    if rel is None:
-        pass
-    elif isinstance(rel, InfinitudeRelation):
-        if coeff_count != 2:
+def _pair_table(xs: Sequence[StepSequence], rel, live: list[int]) -> dict:
+    """The relation argument as ``_masks`` keyed by sequence index pairs
+    (i, j), i < j. Live pairs default to identity over the same atom ids (the
+    only realizable relation of a partition with itself), else to generic
+    position: every intersection infinite."""
+    table = {}
+    if isinstance(rel, InfinitudeRelation):
+        if len(xs) != 2:
             raise BadRelationError(
-                "a single InfinitudeRelation only describes a two-sequence combine"
-            )
+                "a single InfinitudeRelation only describes a two-sequence combine")
         if rel.left.ids != xs[0].partition.ids or rel.right.ids != xs[1].partition.ids:
             raise BadRelationError("relation partitions do not match the sequences")
-        table[(0, 1)] = rel.pairs
+        table[0, 1] = _masks(rel.pairs, len(rel.left), len(rel.right))
     elif isinstance(rel, Mapping):
         for (i, j), ps in rel.items():
-            if not (0 <= i < j < coeff_count):
+            if not (0 <= i < j < len(xs)):
                 raise BadRelationError(f"bad sequence index pair ({i},{j})")
-            table[(i, j)] = InfinitudeRelation(
-                xs[i].partition, xs[j].partition,
-                frozenset((int(a), int(b)) for a, b in ps)).pairs
-    else:
+            table[i, j] = _masks(ps, xs[i].num_atoms, xs[j].num_atoms)
+    elif rel is not None:
         raise BadRelationError("rel must be None, an InfinitudeRelation, or a mapping")
-    for i in range(coeff_count):
-        for j in range(i + 1, coeff_count):
-            if (i, j) in table:
-                continue
-            if xs[i].partition.ids == xs[j].partition.ids:
-                table[(i, j)] = frozenset((a, a) for a in range(xs[i].num_atoms))
-            else:
-                table[(i, j)] = frozenset(
-                    (a, b)
-                    for a in range(xs[i].num_atoms)
-                    for b in range(xs[j].num_atoms)
-                )
+    for t, j in enumerate(live):
+        for i in live[:t]:
+            if (i, j) not in table:
+                nl, nr = xs[i].num_atoms, xs[j].num_atoms
+                same = xs[i].partition.ids == xs[j].partition.ids
+                table[i, j] = [1 << a if same else (1 << nr) - 1 for a in range(nl)]
     return table
-
-
-def _neighbours(pairs: frozenset[tuple[int, int]], count: int) -> list[set[int]]:
-    """nb[a]: the right atoms b whose pair (a, b) is declared infinite, for
-    each of the ``count`` left atoms a."""
-    nb: list[set[int]] = [set() for _ in range(count)]
-    for a, b in pairs:
-        nb[a].add(b)
-    return nb
 
 
 def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSequence:
@@ -260,36 +247,39 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
 
     Partitions are refined one live (nonzero-coefficient) sequence at a
     time, in index order; a refined atom survives only when every pairwise
-    intersection along it is declared infinite. Each step builds, once per
-    earlier live sequence, the neighbour sets of its atoms in the new
-    sequence from the relation table, and extends a composite by the sorted
-    intersection of its members' neighbour sets, so composites come out in
-    lexicographic order. The value on a refined atom is the
-    coefficient-weighted sum of the member values.
+    intersection along it is declared infinite. A composite is extended by
+    the set bits, ascending, of the AND of its members' masks into the new
+    sequence, so composites come out in lexicographic order. A refined
+    atom's value is an int sum over one common denominator.
     """
     if len(coeffs) != len(xs) or not xs:
         raise ShapeError("coeffs and xs must have equal nonzero length")
     cs = [rat(c) for c in coeffs]
-    table = _pair_table(len(xs), xs, rel)
     live = [i for i, c in enumerate(cs) if c != 0]
+    table = _pair_table(xs, rel, live)
     if not live:
         return canonicalize(xs[0].partition, [Fraction(0)] * xs[0].num_atoms)
 
-    composites: list[tuple[int, ...]] = [(a,) for a in range(xs[live[0]].num_atoms)]
+    composites = [(a,) for a in range(xs[live[0]].num_atoms)]
     for t in range(1, len(live)):
-        sj = live[t]
-        nbs = [_neighbours(table[(si, sj)], xs[si].num_atoms) for si in live[:t]]
-        last = [(b,) for b in range(xs[sj].num_atoms)]
-        new: list[tuple[int, ...]] = []
+        masks = [table[si, live[t]] for si in live[:t]]
+        tails, new = {}, []
         for comp in composites:
-            common = set.intersection(*map(getitem, nbs, comp))
-            new += map(comp.__add__, map(last.__getitem__, sorted(common)))
+            common = reduce(and_, map(getitem, masks, comp))
+            if (ext := tails.get(common)) is None:
+                ext = tails[common] = [(b,) for b in range(common.bit_length())
+                                       if common >> b & 1]
+            new += map(comp.__add__, ext)
         composites = new
     if not composites:
         raise BadRelationError("declared relations leave no infinite refined atom")
 
+    # ints over each sequence's scale (a trailing 1 scales to it), then over one
+    ints = [integer_multiple([*xs[i].values, 1]) for i in live]
+    *weights, den = integer_multiple([*(cs[i] / v[-1] for i, v in zip(live, ints)), 1])
+    scaled = [[w * x for x in v[:-1]] for w, v in zip(weights, ints)]
+    sums = [sum(map(getitem, scaled, comp)) for comp in composites]
+    exact = {s: Fraction(s, den) for s in set(sums)}
     ids = [xs[i].partition.ids for i in live]
-    scaled = [[cs[i] * v for v in xs[i].values] for i in live]
     atoms = ["&".join(map(getitem, ids, comp)) for comp in composites]
-    values = [sum(filter(None, map(getitem, scaled, comp)), Fraction(0)) for comp in composites]
-    return canonicalize(SymbolicPartition.from_ids(atoms), values)
+    return canonicalize(SymbolicPartition.from_ids(atoms), list(map(exact.get, sums)))

@@ -18,6 +18,11 @@ The edges come from each cap's definition:
 - ``FAMILY_CAP`` admits ``construct independent`` while split^k <=
   FAMILY_CAP: for each split, the largest such k and k + 1, and a k of
   10^12 is refused at once.
+- ``SPACEABLE_CAP`` admits ``construct spaceable`` while n_max and k_max
+  are within its (n_max, k_max): both flavors at the cap, then one more row
+  or one more ladder step, and an n_max or k_max of 10^12 is refused at
+  once. ``verify`` of a spaceable certificate past the cap exits 3 before
+  any work.
 - ``POLYGON_CAP`` admits ``construct polygon --n`` up to POLYGON_CAP:
   n == POLYGON_CAP and n == POLYGON_CAP + 1.
 - ``GRID_CAP`` admits ``profile --sample`` while the grid walk's tuples
@@ -48,10 +53,12 @@ from limprof.builders import (
     GENERIC_CAP,
     ODD_CAP,
     POLYGON_CAP,
+    SPACEABLE_CAP,
     generic_vectors,
     independent_family,
     odd_space,
     polygon_space,
+    spaceable_rows,
 )
 from limprof.cli import SAMPLE_CAP
 from limprof.engine import (
@@ -303,6 +310,62 @@ def test_family_cap_is_checked_before_the_atoms(split, monkeypatch):
     monkeypatch.setattr(builders, "product", no_build)
     with pytest.raises(TooLargeError):
         independent_family(family_edge(split) + 1, split)
+
+
+def spaceable_flags(n_max, k_max, flavor="dyadic"):
+    return ["--n-max", str(n_max), "--k-max", str(k_max), "--flavor", flavor]
+
+
+@pytest.mark.parametrize("flavor", ["dyadic", "rational-dense"])
+def test_spaceable_at_spaceable_cap_finishes_and_verifies(flavor, tmp_path):
+    n_max, k_max = SPACEABLE_CAP
+    out = construct_and_verify(tmp_path, "spaceable", *spaceable_flags(n_max, k_max, flavor))
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == n_max and all(len(r["atoms"]) == k_max + 2 for r in rows)
+
+
+SPACEABLE_PAST_CAP = [
+    (SPACEABLE_CAP[0] + 1, SPACEABLE_CAP[1]),
+    (SPACEABLE_CAP[0], SPACEABLE_CAP[1] + 1),
+    (10**12, 1),
+    (1, 10**12),
+]
+
+
+@pytest.mark.parametrize("n_max, k_max", SPACEABLE_PAST_CAP)
+def test_spaceable_past_spaceable_cap_exits_3(n_max, k_max, tmp_path):
+    construct_past_cap(tmp_path, "spaceable", *spaceable_flags(n_max, k_max))
+
+
+@pytest.mark.parametrize("n_max, k_max", SPACEABLE_PAST_CAP)
+def test_spaceable_cap_is_checked_before_the_rows(n_max, k_max, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("spaceable_rows started building past the cap")
+
+    monkeypatch.setattr(builders, "value_ladder", no_build)
+    monkeypatch.setattr(builders, "step_sequence", no_build)
+    with pytest.raises(TooLargeError):
+        spaceable_rows(n_max, k_max)
+
+
+@pytest.mark.parametrize("n_max, k_max", SPACEABLE_PAST_CAP)
+def test_verify_spaceable_certificate_past_the_cap_exits_3(n_max, k_max, tmp_path,
+                                                           monkeypatch, capsys):
+    golden = Path(__file__).parent / "data" / "golden" / "spaceable-2-4.cert.json"
+    cert = json.loads(golden.read_text())
+    cert["params"].update(nMax=n_max, kMax=k_max)
+    path = tmp_path / "s.cert.json"
+    path.write_text(json.dumps(cert))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("spaceable payload started work past the cap")
+
+    monkeypatch.setattr(builders, "value_ladder", no_work)
+    monkeypatch.setattr(builders, "combine", no_work)
+    assert cli.main(["verify", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "too-large"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_polygon_at_polygon_cap_finishes_and_verifies(tmp_path):

@@ -26,7 +26,7 @@ from limprof.errors import (
     TooLargeError,
     ZeroDirectionError,
 )
-from limprof.kernel import RatMatrix, integer_vectors, vec
+from limprof.kernel import RatMatrix, integer_tuples, integer_vectors, normalize_primitive, vec
 from limprof.sequences import InfinitudeRelation, combine, step_sequence
 
 from kernel_oracle import left_mul_vec, matmul
@@ -276,6 +276,44 @@ def test_sample_profile_is_lower_bound():
         sampled = sample_profile(m, max_norm=3)
         assert set(sampled.achieved) <= set(exact.achieved)
         assert m.cols in sampled.achieved  # generic direction always sampled
+
+
+def sample_profile_on_fractions(m, max_norm, extra=()):
+    """The sampling walk with every grid tuple turned into Fractions and
+    counted by ``multiplicity``, as sample_profile did before it counted
+    grid tuples on the ints."""
+    witnesses = {}
+    for a in [*integer_tuples(m.rows, max_shell=max_norm), *extra]:
+        a = vec(a)
+        if any(a) and (mu := multiplicity(m, a)) not in witnesses:
+            witnesses[mu] = normalize_primitive(a)
+    return tuple(sorted(witnesses)), witnesses
+
+
+def test_sample_profile_matches_the_fraction_walk():
+    rng = random.Random(16)
+    for rows, n_cols, max_norm in [(1, 3, 4), (2, 5, 2), (3, 4, 2), (4, 6, 1), (9, 1, 1)]:
+        cols = set()
+        while len(cols) < n_cols:
+            cols.add(tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                           for _ in range(rows)))
+        m = RatMatrix.from_rows([[c[i] for c in sorted(cols)] for i in range(rows)])
+        extra = [tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rows))
+                 for _ in range(4)] + [(0,) * rows]
+        sampled = sample_profile(m, max_norm=max_norm, extra=extra)
+        assert (sampled.achieved, sampled.witnesses) == sample_profile_on_fractions(
+            m, max_norm, extra)
+
+
+def test_sample_profile_counts_the_extra_rows():
+    """Past an empty grid (max-norm 0) only the extra rows are counted, each
+    scaled to its least integer multiple."""
+    m = RatMatrix.from_rows([[0, 1, 2], [0, 1, 1]])
+    sampled = sample_profile(m, max_norm=0, extra=[(Fraction(1, 2), Fraction(-1, 2)), (0, 0)])
+    assert sampled.achieved == (2,)
+    assert sampled.witnesses == {2: (Fraction(1), Fraction(-1))}
+    with pytest.raises(ShapeError):
+        sample_profile(m, max_norm=0, extra=[(1, 2, 3)])
 
 
 def test_pattern_witnesses_match_fraction_oracle():

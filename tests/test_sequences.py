@@ -1,6 +1,8 @@
 import random
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
+from operator import getitem
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from limprof.sequences import (
     InfinitudeRelation,
     StepSequence,
     SymbolicPartition,
-    _pair_table,
     canonicalize,
     combine,
     step_sequence,
@@ -167,17 +168,84 @@ def test_combine_identity_scaling(x):
 
 
 # ---------------------------------------------------------------------------
-# combine against the refinement it replaced
+# combine against the refinements it replaced
 
 
-def combine_oracle(coeffs, xs, rel=None) -> StepSequence:
-    """The refinement combine replaced, kept as a slow oracle: every atom b
-    of the next live sequence is tested against every earlier member of a
-    composite through the relation table."""
+def pair_sets(coeff_count, xs, rel):
+    """The relation argument as a table of atom pair sets keyed by sequence
+    index pairs (i, j), i < j, each mapping entry checked by building an
+    InfinitudeRelation: the table combine read before its bitmasks."""
+    table = {}
+    if rel is None:
+        pass
+    elif isinstance(rel, InfinitudeRelation):
+        if coeff_count != 2:
+            raise BadRelationError(
+                "a single InfinitudeRelation only describes a two-sequence combine"
+            )
+        if rel.left.ids != xs[0].partition.ids or rel.right.ids != xs[1].partition.ids:
+            raise BadRelationError("relation partitions do not match the sequences")
+        table[(0, 1)] = rel.pairs
+    elif isinstance(rel, Mapping):
+        for (i, j), ps in rel.items():
+            if not (0 <= i < j < coeff_count):
+                raise BadRelationError(f"bad sequence index pair ({i},{j})")
+            table[(i, j)] = InfinitudeRelation(
+                xs[i].partition, xs[j].partition,
+                frozenset((int(a), int(b)) for a, b in ps)).pairs
+    else:
+        raise BadRelationError("rel must be None, an InfinitudeRelation, or a mapping")
+    for i in range(coeff_count):
+        for j in range(i + 1, coeff_count):
+            if (i, j) in table:
+                continue
+            if xs[i].partition.ids == xs[j].partition.ids:
+                table[(i, j)] = frozenset((a, a) for a in range(xs[i].num_atoms))
+            else:
+                table[(i, j)] = frozenset(product(range(xs[i].num_atoms),
+                                                  range(xs[j].num_atoms)))
+    return table
+
+
+def combine_sets(coeffs, xs, rel=None) -> StepSequence:
+    """The set-intersection refinement combine replaced, with Fraction sums:
+    a composite is extended by the sorted intersection of its members'
+    neighbour sets in the next live sequence."""
     if len(coeffs) != len(xs) or not xs:
         raise ShapeError("coeffs and xs must have equal nonzero length")
     cs = [rat(c) for c in coeffs]
-    table = _pair_table(len(xs), xs, rel)
+    table = pair_sets(len(xs), xs, rel)
+    live = [i for i, c in enumerate(cs) if c != 0]
+    if not live:
+        return canonicalize(xs[0].partition, [Fraction(0)] * xs[0].num_atoms)
+    composites = [(a,) for a in range(xs[live[0]].num_atoms)]
+    for t in range(1, len(live)):
+        sj = live[t]
+        nbs = []
+        for si in live[:t]:
+            nb = [set() for _ in range(xs[si].num_atoms)]
+            for a, b in table[(si, sj)]:
+                nb[a].add(b)
+            nbs.append(nb)
+        composites = [comp + (b,) for comp in composites
+                      for b in sorted(set.intersection(*map(getitem, nbs, comp)))]
+    if not composites:
+        raise BadRelationError("declared relations leave no infinite refined atom")
+    ids = [xs[i].partition.ids for i in live]
+    scaled = [[cs[i] * v for v in xs[i].values] for i in live]
+    atoms = ["&".join(map(getitem, ids, comp)) for comp in composites]
+    values = [sum(map(getitem, scaled, comp), Fraction(0)) for comp in composites]
+    return canonicalize(SymbolicPartition.from_ids(atoms), values)
+
+
+def combine_oracle(coeffs, xs, rel=None) -> StepSequence:
+    """The refinement before the neighbour sets, kept as a slow oracle: every
+    atom b of the next live sequence is tested against every earlier member
+    of a composite through the relation table."""
+    if len(coeffs) != len(xs) or not xs:
+        raise ShapeError("coeffs and xs must have equal nonzero length")
+    cs = [rat(c) for c in coeffs]
+    table = pair_sets(len(xs), xs, rel)
     live = [i for i, c in enumerate(cs) if c != 0]
     if not live:
         return canonicalize(xs[0].partition, [Fraction(0)] * xs[0].num_atoms)
@@ -209,11 +277,19 @@ def combine_oracle(coeffs, xs, rel=None) -> StepSequence:
     return canonicalize(SymbolicPartition.from_ids(atoms), values)
 
 
+ORACLES = (combine_sets, combine_oracle)
+
+
 def outcome(fn, *args):
     try:
         return "ok", fn(*args).to_json()
     except BadRelationError as exc:
         return "bad-relation", str(exc)
+
+
+def assert_matches_oracles(*args):
+    expected = outcome(combine, *args)
+    assert [outcome(fn, *args) for fn in ORACLES] == [expected] * len(ORACLES)
 
 
 def random_step_sequence(rng, prefix, atoms):
@@ -263,14 +339,14 @@ def test_combine_matches_oracle_on_relation_tables(seed):
         rel = {(i, j): covering_pairs(rng, xs[i].num_atoms, xs[j].num_atoms,
                                       rng.randint(0, xs[i].num_atoms))
                for i, j in sorted(pairs) if rng.random() < 0.8}
-    assert outcome(combine, coeffs, xs, rel) == outcome(combine_oracle, coeffs, xs, rel)
+    assert_matches_oracles(coeffs, xs, rel)
 
 
 def test_combine_matches_oracle_with_zero_coefficients():
     rng = random.Random("combine-oracle/zeros")
     xs = [random_step_sequence(rng, f"z{i}.", 5) for i in range(4)]
     for coeffs in product((0, 1, Fraction(-1, 2)), repeat=4):
-        assert combine(coeffs, xs).to_json() == combine_oracle(coeffs, xs).to_json()
+        assert_matches_oracles(coeffs, xs)
 
 
 @pytest.mark.parametrize("n_max,k_max", [(2, 8), (3, 16), (4, 30), (6, 30), (8, 20),
@@ -281,8 +357,7 @@ def test_combine_matches_oracle_on_spaceable_rows(n_max, k_max, flavor):
     fam = spaceable_rows(n_max, k_max, flavor)
     table = fam.relation_table()
     alpha = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n_max)]
-    assert (combine(alpha, fam.rows, table).to_json()
-            == combine_oracle(alpha, fam.rows, table).to_json())
+    assert_matches_oracles(alpha, fam.rows, table)
 
 
 def test_combine_and_oracle_refuse_a_table_with_no_refined_atom():
@@ -291,6 +366,132 @@ def test_combine_and_oracle_refuse_a_table_with_no_refined_atom():
     y = seq(("c", 0), ("d", 2))
     w = seq(("e", 0), ("f", 4))
     table = {(0, 1): {(0, 0), (1, 1)}, (1, 2): {(0, 0), (1, 1)}, (0, 2): {(0, 1), (1, 0)}}
-    for fn in (combine, combine_oracle):
+    for fn in (combine, *ORACLES):
         with pytest.raises(BadRelationError):
             fn([1, 1, 1], [x, y, w], table)
+
+
+
+# Pairwise coprime denominators for values and coefficients: a common
+# denominator of a sum is their product, not any one of them.
+DENOMINATORS = (1, 2, 3, 5, 7)
+
+
+def coprime_step_sequence(rng, prefix, atoms):
+    """``atoms`` distinct values n/d, |n| <= 20, d in DENOMINATORS: few
+    enough that sums collide and canonicalize merges atoms."""
+    values = set()
+    while len(values) < atoms:
+        values.add(Fraction(rng.randint(-20, 20), rng.choice(DENOMINATORS)))
+    values = sorted(values, key=lambda v: rng.random())
+    return step_sequence((f"{prefix}{i}", v) for i, v in enumerate(values))
+
+
+coefficient = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
+                                                 st.sampled_from(DENOMINATORS)))
+
+
+@st.composite
+def combine_inputs(draw):
+    """Two to four sequences and a relation table. Wide sequences have more
+    than 64 atoms, so a mask spans several machine words; their pairs get
+    sparse covering tables, so refinement stays small. The last sequence may
+    repeat the first, whose pair then keeps the default (identity)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    k = draw(st.integers(min_value=2, max_value=4))
+    wide = draw(st.booleans())
+    low, high = (65, 90) if wide else (1, 8)
+    xs = [coprime_step_sequence(rng, f"s{i}.", rng.randint(low, high)) for i in range(k)]
+    repeat = draw(st.booleans())
+    if repeat:
+        xs[-1] = xs[0]
+    coeffs = draw(st.lists(coefficient, min_size=k, max_size=k))
+    rel = {}
+    for i in range(k):
+        for j in range(i + 1, k):
+            if repeat and (i, j) == (0, k - 1):
+                continue
+            if not wide and draw(st.booleans()):
+                continue  # small pairs may keep generic position
+            rel[(i, j)] = covering_pairs(rng, xs[i].num_atoms, xs[j].num_atoms,
+                                         rng.randint(0, 2 * xs[i].num_atoms))
+    return coeffs, xs, rel
+
+
+@given(combine_inputs())
+@settings(max_examples=200, deadline=None)
+def test_combine_matches_oracles_on_drawn_inputs(inputs):
+    assert_matches_oracles(*inputs)
+
+
+# ---------------------------------------------------------------------------
+# the relation argument's checks: one fault each, with the message the pair
+# set table gives
+
+
+def two_sequences():
+    return seq(("a", 0), ("b", 1)), seq(("c", 5), ("d", 7), ("e", 9))
+
+
+RELATION_FAULTS = {
+    "pair past the left atoms": ({(0, 1): {(0, 0), (1, 1), (1, 2), (2, 0)}},
+                                 "pair (2,0) out of range"),
+    "pair past the right atoms": ({(0, 1): {(0, 0), (1, 1), (1, 2), (0, 3)}},
+                                  "pair (0,3) out of range"),
+    "negative left atom": ({(0, 1): {(0, 0), (1, 1), (1, 2), (-1, 0)}},
+                           "pair (-1,0) out of range"),
+    "negative right atom": ({(0, 1): {(0, 0), (1, 1), (1, 2), (0, -1)}},
+                            "pair (0,-1) out of range"),
+    "uncovered left atom": ({(0, 1): {(0, 0), (0, 1), (0, 2)}},
+                            "some left atom occurs in no pair"),
+    "uncovered right atom": ({(0, 1): {(0, 0), (1, 1)}},
+                             "some right atom occurs in no pair"),
+    "no pairs": ({(0, 1): set()}, "some left atom occurs in no pair"),
+    "key i > j": ({(1, 0): {(0, 0)}}, "bad sequence index pair (1,0)"),
+    "key i == j": ({(0, 0): {(0, 0)}}, "bad sequence index pair (0,0)"),
+    "key j past the sequences": ({(0, 2): {(0, 0)}}, "bad sequence index pair (0,2)"),
+    "negative key": ({(-1, 1): {(0, 0)}}, "bad sequence index pair (-1,1)"),
+    "another type": ([(0, 0), (1, 1)],
+                     "rel must be None, an InfinitudeRelation, or a mapping"),
+}
+
+
+@pytest.mark.parametrize("fault", list(RELATION_FAULTS))
+def test_combine_refuses_a_faulty_relation_table(fault):
+    rel, message = RELATION_FAULTS[fault]
+    x, y = two_sequences()
+    for fn in (combine, *ORACLES):
+        assert outcome(fn, [1, 1], [x, y], rel) == ("bad-relation", message)
+
+
+def test_combine_refuses_an_infinitude_relation_it_does_not_describe():
+    x, y = two_sequences()
+    rel = InfinitudeRelation.full(x.partition, y.partition)
+    flipped = InfinitudeRelation.full(y.partition, x.partition)
+    cases = [
+        ([1, 1, 1], [x, y, x], rel,
+         "a single InfinitudeRelation only describes a two-sequence combine"),
+        ([1], [x], rel, "a single InfinitudeRelation only describes a two-sequence combine"),
+        ([1, 1], [x, y], flipped, "relation partitions do not match the sequences"),
+        ([1, 1], [x, x], rel, "relation partitions do not match the sequences"),
+    ]
+    for coeffs, xs, r, message in cases:
+        for fn in (combine, *ORACLES):
+            assert outcome(fn, coeffs, xs, r) == ("bad-relation", message)
+
+
+def test_combine_checks_every_entry_even_of_a_zero_coefficient():
+    x, y = two_sequences()
+    w = seq(("f", 2), ("g", 4))
+    rel = {(0, 1): {(0, 0), (1, 1), (1, 2)}, (1, 2): {(0, 0), (1, 0), (2, 0)}}
+    for fn in (combine, *ORACLES):
+        assert outcome(fn, [1, 1, 0], [x, y, w], rel) == (
+            "bad-relation", "some right atom occurs in no pair")
+
+
+def test_combine_names_the_first_bad_pair_it_reads():
+    """With several bad pairs the message names the first in the entry's
+    own order; the pair set table named the first of a frozenset."""
+    x, y = two_sequences()
+    rel = {(0, 1): [(0, 0), (1, 1), (1, 2), (5, 1), (9, 0)]}
+    assert outcome(combine, [1, 1], [x, y], rel) == ("bad-relation", "pair (5,1) out of range")
