@@ -303,17 +303,13 @@ class SpaceableFamily:
 
     def relation_table(self) -> dict[tuple[int, int], frozenset[tuple[int, int]]]:
         """Pairwise infinitude: a support atom only meets the other row's
-        residual atom; the residuals meet each other."""
-        table = {}
+        residual atom; the residuals meet each other. Every row pair has the
+        same atom counts and relation, so every pair maps to one frozenset,
+        and ``combine`` turns it into masks once."""
         last = self.k_max + 1
-        for i in range(self.n_max):
-            for j in range(i + 1, self.n_max):
-                pairs = {(last, last)}
-                for t in range(self.k_max + 1):
-                    pairs.add((t, last))
-                    pairs.add((last, t))
-                table[(i, j)] = frozenset(pairs)
-        return table
+        pairs = frozenset([(last, last), *((t, last) for t in range(last)),
+                           *((last, t) for t in range(last))])
+        return {(i, j): pairs for i in range(self.n_max) for j in range(i + 1, self.n_max)}
 
     def combination(self, alpha: Sequence) -> StepSequence:
         if len(alpha) != self.n_max:

@@ -71,11 +71,13 @@ from .kernel import (
 from .sequences import StepSequence
 
 PROFILE_CAP = 12
-# sample_profile's grid-walk tuples x columns. The cost of a tuple grows
-# with the rows, so one column is the slowest shape. At this cap the slowest
-# admitted grids, 6 x 1 at max-norm 3 and 10 x 2 at max-norm 1, took 1.4-2.5 s
-# in-process (Python 3.11, 2 CPUs, entries in [-50, 50] or {-1, 0, 1});
-# 11 x 1 at max-norm 1 (177,148 tuples) took 3-5 s and is refused.
+# sample_profile's grid-walk tuples x columns, counting each max-norm shell s
+# as its whole cube of (2s+1)^rows tuples. The walk visits only the tuples of
+# max-norm s there, so the count is an upper bound on the tuples walked. The
+# cost of a tuple grows with the rows, so one column is the slowest shape.
+# At this cap the slowest admitted grids, 6 x 1 at max-norm 3 and 10 x 2 at
+# max-norm 1, took 1.4-2.5 s in-process (Python 3.11, 2 CPUs, entries in
+# [-50, 50] or {-1, 0, 1}) with the cube scan the cap counts; 11 x 1 at max-norm 1 (177,148 tuples) took 3-5 s and is refused.
 GRID_CAP = 150_000
 
 
@@ -313,9 +315,10 @@ def sample_profile(m: RatMatrix, max_norm: int = 3,
                    extra: Sequence[Sequence] = ()) -> MultiplicityProfile:
     """Under-approximation of the profile by scanning an integer grid of
     coefficient rows (max-norm shells up to ``max_norm``) plus any ``extra``
-    rows. Sampling can only miss counts, never invent them. The walk scans
-    each shell s as a cube of (2s+1)^rows tuples; past GRID_CAP scanned
-    tuples x columns it raises TooLargeError before any tuple."""
+    rows. Sampling can only miss counts, never invent them. The cap counts
+    each shell s as a cube of (2s+1)^rows tuples, an upper bound on the
+    tuples walked; past GRID_CAP counted tuples x columns it raises
+    TooLargeError before any tuple."""
     walked = 1
     for s in range(1, max_norm + 1):  # no power of a huge row count
         walked += (2 * s + 1) ** min(m.rows, GRID_CAP.bit_length())

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Sequence
@@ -286,19 +287,20 @@ def integer_tuples(dim: int, max_shell: int = 1000) -> Iterator[tuple[int, ...]]
 
     Inside shell s, tuples are in lexicographic order under the scalar order
     0 < 1 < -1 < 2 < -2 < ...; shell s contains exactly the tuples of
-    max-norm s. dim == 0 yields the single empty tuple.
+    max-norm s. dim == 0 yields the single empty tuple. Each shell is walked
+    directly, one prefix of dim - 1 entries at a time: a prefix with an
+    entry of norm s takes every last entry, any other prefix only s and -s.
     """
     if dim == 0:
         yield ()
         return
     yield (0,) * dim
-    from itertools import product
-
     for s in range(1, max_shell + 1):
         scalars = _scalars_up_to(s)
-        for t in product(scalars, repeat=dim):
-            if max(abs(x) for x in t) == s:
-                yield t
+        every = [(x,) for x in scalars]
+        edge = every[-2:]
+        for prefix in product(scalars, repeat=dim - 1):
+            yield from map(prefix.__add__, every if s in prefix or -s in prefix else edge)
 
 
 def generic_point(space: AffineSubspace, columns: Sequence[Sequence[int]] = ()) -> IntVec:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import starmap
 from operator import and_, attrgetter, getitem, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -103,24 +104,28 @@ def step_sequence(pairs: Iterable[tuple[str, object]]) -> StepSequence:
 def canonicalize(partition: SymbolicPartition, values: Sequence) -> StepSequence:
     """Merge atoms that share a value; value order follows first occurrence.
 
-    Merged atoms get the id of their members joined with '|'. A merged union
-    of infinite sets is infinite, so the result is a valid partition.
+    Merged atoms get the id of their members joined with '|' (``_merged``,
+    which ``combine`` uses too). A merged union of infinite sets is
+    infinite, so the result is a valid partition.
     """
     vals = [rat(v) for v in values]
     if len(vals) != len(partition.atoms):
         raise ShapeError("one value per atom required")
-    groups: dict[tuple[int, int], list[Atom]] = {}
-    order: list[Fraction] = []
-    for atom, v, key in zip(partition.atoms, vals, exact_keys(vals)):
-        members = groups.get(key)
-        if members is None:
+    merged = _merged(partition.ids, exact_keys(vals))
+    return StepSequence(SymbolicPartition.from_ids(merged.values()),
+                        tuple(starmap(Fraction, merged)))
+
+
+def _merged(ids: Iterable[str], keys: Iterable) -> dict:
+    """Key -> the ids of the atoms with that key joined with '|', keys and
+    members in first-occurrence order."""
+    groups: dict = {}
+    for atom, key in zip(ids, keys):
+        if (members := groups.get(key)) is None:
             groups[key] = [atom]
-            order.append(v)
         else:
             members.append(atom)
-    new_atoms = [members[0] if len(members) == 1 else Atom("|".join(a.id for a in members))
-                 for members in groups.values()]
-    return StepSequence(SymbolicPartition(tuple(new_atoms)), tuple(order))
+    return {key: "|".join(members) for key, members in groups.items()}
 
 
 def exact_keys(values: Sequence[Fraction]) -> Iterable[tuple[int, int]]:
@@ -215,10 +220,13 @@ def _masks(pairs: Iterable, nl: int, nr: int) -> list[int]:
 
 def _pair_table(xs: Sequence[StepSequence], rel, live: list[int]) -> dict:
     """The relation argument as ``_masks`` keyed by sequence index pairs
-    (i, j), i < j. Live pairs default to identity over the same atom ids (the
-    only realizable relation of a partition with itself), else to generic
-    position: every intersection infinite."""
-    table = {}
+    (i, j), i < j. A mapping's entries become masks once per object and
+    pair of atom counts, so entries that share one relation share its masks
+    (keyed by identity: an entry may be an unhashable set or list). Live
+    pairs default to identity over the same atom ids (the only realizable
+    relation of a partition with itself), else to generic position: every
+    intersection infinite."""
+    table, masks = {}, {}
     if isinstance(rel, InfinitudeRelation):
         if len(xs) != 2:
             raise BadRelationError(
@@ -230,7 +238,10 @@ def _pair_table(xs: Sequence[StepSequence], rel, live: list[int]) -> dict:
         for (i, j), ps in rel.items():
             if not (0 <= i < j < len(xs)):
                 raise BadRelationError(f"bad sequence index pair ({i},{j})")
-            table[i, j] = _masks(ps, xs[i].num_atoms, xs[j].num_atoms)
+            nl, nr = xs[i].num_atoms, xs[j].num_atoms
+            if (m := masks.get(key := (id(ps), nl, nr))) is None:
+                m = masks[key] = _masks(ps, nl, nr)
+            table[i, j] = m
     elif rel is not None:
         raise BadRelationError("rel must be None, an InfinitudeRelation, or a mapping")
     for t, j in enumerate(live):
@@ -250,7 +261,9 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
     intersection along it is declared infinite. A composite is extended by
     the set bits, ascending, of the AND of its members' masks into the new
     sequence, so composites come out in lexicographic order. A refined
-    atom's value is an int sum over one common denominator.
+    atom's value is an int sum over one common denominator, so refined atoms
+    with equal sums are the atoms ``canonicalize`` would merge: they are
+    merged on the sums, and the canonical result is built once.
     """
     if len(coeffs) != len(xs) or not xs:
         raise ShapeError("coeffs and xs must have equal nonzero length")
@@ -279,7 +292,12 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
     *weights, den = integer_multiple([*(cs[i] / v[-1] for i, v in zip(live, ints)), 1])
     scaled = [[w * x for x in v[:-1]] for w, v in zip(weights, ints)]
     sums = [sum(map(getitem, scaled, comp)) for comp in composites]
-    exact = {s: Fraction(s, den) for s in set(sums)}
     ids = [xs[i].partition.ids for i in live]
     atoms = ["&".join(map(getitem, ids, comp)) for comp in composites]
-    return canonicalize(SymbolicPartition.from_ids(atoms), list(map(exact.get, sums)))
+    # over one denominator equal sums are equal values: merge by the sums;
+    # a merge could join two equal composite ids, so those are checked first
+    merged = _merged(atoms, sums)
+    if len(merged) < len(atoms) and len(set(atoms)) < len(atoms):
+        raise ShapeError("atom ids must be unique")
+    return StepSequence(SymbolicPartition.from_ids(merged.values()),
+                        tuple(Fraction(s, den) for s in merged))

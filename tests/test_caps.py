@@ -424,7 +424,8 @@ def test_sample_cap_is_checked_before_the_estimate(path, tmp_path, monkeypatch):
 
 
 def grid_walk(rows, max_norm):
-    """Tuples the sampling walk scans: one cube of (2s+1)^rows per shell s."""
+    """GRID_CAP's count of the sampling walk: one cube of (2s+1)^rows per
+    shell s, an upper bound on the tuples walked."""
     return 1 + sum((2 * s + 1) ** rows for s in range(1, max_norm + 1))
 
 

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import islice, product
 from math import gcd, lcm
 from operator import mul, sub
 
@@ -173,6 +174,30 @@ def test_integer_tuples_scalar_order():
         if len(first) == 5:
             break
     assert first == [0, 1, -1, 2, -2]
+
+
+def integer_tuples_cube(dim, max_shell=1000):
+    """The walk integer_tuples replaced, kept as its oracle: each shell s
+    scans the whole (2s+1)^dim cube in lexicographic order and keeps the
+    tuples of max-norm s."""
+    if dim == 0:
+        yield ()
+        return
+    yield (0,) * dim
+    for s in range(1, max_shell + 1):
+        scalars = [0] + [x for k in range(1, s + 1) for x in (k, -k)]
+        for t in product(scalars, repeat=dim):
+            if max(abs(x) for x in t) == s:
+                yield t
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_integer_tuples_match_the_cube_scan(dim):
+    assert list(islice(integer_tuples(dim), 20_000)) == \
+        list(islice(integer_tuples_cube(dim), 20_000))
+    for max_shell in (0, 1, 3):
+        assert list(integer_tuples(dim, max_shell)) == \
+            list(integer_tuples_cube(dim, max_shell))
 
 
 def test_integer_tuples_2d_prefix():

@@ -372,6 +372,50 @@ def test_combine_and_oracle_refuse_a_table_with_no_refined_atom():
 
 
 
+@pytest.mark.parametrize("y_values, sums", [((1, 0), [1, 0, 2, 1]), ((0, 5), [0, 5, 1, 6])],
+                         ids=["equal sums", "distinct sums"])
+def test_combine_refuses_colliding_composite_ids(y_values, sums):
+    """x atoms 'a&', 'a' and y atoms 'b', '&b' both join to 'a&&b'. With
+    equal sums a merge by value alone would hide the collision in the one
+    atom 'a&&b|a&&b'."""
+    x = seq(("a&", 0), ("a", 1))
+    y = seq(("b", y_values[0]), ("&b", y_values[1]))
+    assert [xa + ya for xa in x.values for ya in y.values] == sums
+    rel = InfinitudeRelation.full(x.partition, y.partition)
+    for fn in (combine, *ORACLES):
+        with pytest.raises(ShapeError, match="atom ids must be unique"):
+            fn([1, 1], [x, y], rel)
+
+
+def test_combine_reads_a_shared_relation_per_pair_of_atom_counts():
+    """One pair set serves two sequence pairs with different atom counts:
+    it is in range for (0, 1) and out of range for (0, 2)."""
+    x, y = two_sequences()
+    w = seq(("f", 2), ("g", 4))
+    shared = frozenset({(0, 0), (1, 1), (1, 2)})
+    for fn in (combine, *ORACLES):
+        assert outcome(fn, [1, 1, 1], [x, y, w], {(0, 1): shared, (0, 2): shared}) == (
+            "bad-relation", "pair (1,2) out of range")
+    fits = frozenset({(0, 0), (1, 1)})
+    assert_matches_oracles([1, 1, 1], [x, w, w], {(0, 1): fits, (0, 2): fits})
+
+
+@pytest.mark.parametrize("n_max,k_max", [(1, 0), (2, 0), (3, 4), (5, 2)])
+def test_relation_table_shares_one_pair_set(n_max, k_max):
+    table = spaceable_rows(n_max, k_max).relation_table()
+    last = k_max + 1
+    per_pair = {}
+    for i in range(n_max):
+        for j in range(i + 1, n_max):
+            pairs = {(last, last)}
+            for t in range(k_max + 1):
+                pairs.add((t, last))
+                pairs.add((last, t))
+            per_pair[(i, j)] = frozenset(pairs)
+    assert table == per_pair
+    assert len({id(pairs) for pairs in table.values()}) == min(1, len(table))
+
+
 # Pairwise coprime denominators for values and coefficients: a common
 # denominator of a sum is their product, not any one of them.
 DENOMINATORS = (1, 2, 3, 5, 7)
