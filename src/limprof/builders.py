@@ -39,9 +39,12 @@ GENERIC_CAP = 7
 # CLI, and 2.2 s at k = 7 in-process (126 MB peak RSS; Python 3.11, 2-core VM).
 ODD_CAP = 6
 FAMILY_CAP = 100_000
-# (n_max, k_max): the all-ones combination's refinement grows as n_max^3 k_max.
-# At (80, 80) construct and verify each took 1.6 s through the CLI, both
-# flavors, and 3.4 s at (100, 100) (Python 3.11, 2-core VM).
+# (n_max, k_max): the all-ones combination's refinement walks about two
+# states per row, so its steps grow as n_max^2 k_max and its id strings as
+# n_max^3 k_max characters. At (80, 80) construct and verify each took
+# 0.21-0.34 s through the CLI, both flavors, of which the combination is
+# about 0.1 s; the combination alone took 0.3 s at (160, 80) and 0.63 s at
+# (160, 160) in-process (Python 3.11, 2-core VM).
 SPACEABLE_CAP = (80, 80)
 
 

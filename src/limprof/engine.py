@@ -76,8 +76,10 @@ PROFILE_CAP = 12
 # max-norm s there, so the count is an upper bound on the tuples walked. The
 # cost of a tuple grows with the rows, so one column is the slowest shape.
 # At this cap the slowest admitted grids, 6 x 1 at max-norm 3 and 10 x 2 at
-# max-norm 1, took 1.4-2.5 s in-process (Python 3.11, 2 CPUs, entries in
-# [-50, 50] or {-1, 0, 1}) with the cube scan the cap counts; 11 x 1 at max-norm 1 (177,148 tuples) took 3-5 s and is refused.
+# max-norm 1, take 0.12-0.13 s and 0.10-0.12 s in-process on the int-tuple
+# walk (Python 3.11, 2 CPUs, best of 5 on three seeded matrices with
+# entries in [-50, 50]; {-1, 0, 1} 0.09-0.12 s). 11 x 1 at max-norm 1
+# (177,148 tuples) takes about 0.35 s and is refused.
 GRID_CAP = 150_000
 
 

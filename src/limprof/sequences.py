@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import starmap
-from operator import and_, attrgetter, getitem, or_
+from operator import and_, attrgetter, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import BadRelationError, EmptyInputError, ShapeError
@@ -42,17 +42,16 @@ class SymbolicPartition:
     def __post_init__(self):
         if not self.atoms:
             raise EmptyInputError("partition needs at least one atom")
-        ids = [a.id for a in self.atoms]
+        ids = tuple(a.id for a in self.atoms)
         if len(set(ids)) != len(ids):
             raise ShapeError("atom ids must be unique")
+        # the atoms' ids, built once: a plain attribute, not a field, so
+        # equality, hashing and repr still read the atoms alone
+        object.__setattr__(self, "ids", ids)
 
     @classmethod
     def from_ids(cls, ids: Iterable[str]) -> "SymbolicPartition":
         return cls(tuple(Atom(i) for i in ids))
-
-    @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(a.id for a in self.atoms)
 
     def __len__(self) -> int:
         return len(self.atoms)
@@ -253,17 +252,25 @@ def _pair_table(xs: Sequence[StepSequence], rel, live: list[int]) -> dict:
     return table
 
 
+def _bits(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending."""
+    return [b for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSequence:
     """Exact combination sum(c_i * x_i) as a canonical StepSequence.
 
-    Partitions are refined one live (nonzero-coefficient) sequence at a
-    time, in index order; a refined atom survives only when every pairwise
-    intersection along it is declared infinite. A composite is extended by
-    the set bits, ascending, of the AND of its members' masks into the new
-    sequence, so composites come out in lexicographic order. A refined
-    atom's value is an int sum over one common denominator, so refined atoms
-    with equal sums are the atoms ``canonicalize`` would merge: they are
-    merged on the sums, and the canonical result is built once.
+    Partitions are refined along the live (nonzero-coefficient) sequences,
+    in index order; a refined atom survives only when every pairwise
+    intersection along it is declared infinite. A prefix of live atoms has
+    a state: per later live sequence, the AND of its members' masks into
+    it. Prefixes with one state have the same completions, so one forward
+    pass collects each depth's distinct states, and one backward pass builds
+    each state's completions once, as int sums over one common denominator
+    and '&'-joined ids, extending by set bits in ascending order: refined
+    atoms come out in lexicographic order, with no composite built. Refined
+    atoms with equal sums are the atoms ``canonicalize`` would merge: they
+    are merged on the sums, and the canonical result is built once.
     """
     if len(coeffs) != len(xs) or not xs:
         raise ShapeError("coeffs and xs must have equal nonzero length")
@@ -273,27 +280,49 @@ def combine(coeffs: Sequence, xs: Sequence[StepSequence], rel=None) -> StepSeque
     if not live:
         return canonicalize(xs[0].partition, [Fraction(0)] * xs[0].num_atoms)
 
-    composites = [(a,) for a in range(xs[live[0]].num_atoms)]
-    for t in range(1, len(live)):
-        masks = [table[si, live[t]] for si in live[:t]]
-        tails, new = {}, []
-        for comp in composites:
-            common = reduce(and_, map(getitem, masks, comp))
-            if (ext := tails.get(common)) is None:
-                ext = tails[common] = [(b,) for b in range(common.bit_length())
-                                       if common >> b & 1]
-            new += map(comp.__add__, ext)
-        composites = new
-    if not composites:
-        raise BadRelationError("declared relations leave no infinite refined atom")
+    # forward: per depth t < last, each state's (bit, child index) pairs; a
+    # child with an empty mask has no completion and is dropped
+    last = len(live) - 1
+    states = [tuple((1 << xs[i].num_atoms) - 1 for i in live)]
+    steps = []
+    for t in range(last):
+        # column b: the masks of atom b of live[t] into each later sequence
+        columns = list(zip(*(table[live[t], j] for j in live[t + 1:])))
+        reached, children = {}, []
+        for state in states:
+            rest, kids = state[1:], []
+            for b in _bits(state[0]):
+                child = tuple(map(and_, rest, columns[b]))
+                if all(child):
+                    kids.append((b, reached.setdefault(child, len(reached))))
+            children.append(kids)
+        steps.append(children)
+        states = list(reached)
 
     # ints over each sequence's scale (a trailing 1 scales to it), then over one
     ints = [integer_multiple([*xs[i].values, 1]) for i in live]
     *weights, den = integer_multiple([*(cs[i] / v[-1] for i, v in zip(live, ints)), 1])
     scaled = [[w * x for x in v[:-1]] for w, v in zip(weights, ints)]
-    sums = [sum(map(getitem, scaled, comp)) for comp in composites]
     ids = [xs[i].partition.ids for i in live]
-    atoms = ["&".join(map(getitem, ids, comp)) for comp in composites]
+
+    # backward: each state's completions (sums, ids), deepest first
+    values, names = scaled[last], ids[last]
+    completions = [([values[b] for b in bits], [names[b] for b in bits])
+                   for bits in (_bits(state[0]) for state in states)]
+    for t in reversed(range(last)):
+        values, names = scaled[t], [a + "&" for a in ids[t]]
+        below, completions = completions, []
+        for kids in steps[t]:
+            sums, atoms = [], []
+            for b, k in kids:
+                tail_sums, tail_atoms = below[k]
+                sums += map(values[b].__add__, tail_sums)
+                atoms += map(names[b].__add__, tail_atoms)
+            completions.append((sums, atoms))
+    sums, atoms = completions[0]
+    if not atoms:
+        raise BadRelationError("declared relations leave no infinite refined atom")
+
     # over one denominator equal sums are equal values: merge by the sums;
     # a merge could join two equal composite ids, so those are checked first
     merged = _merged(atoms, sums)

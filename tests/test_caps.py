@@ -80,10 +80,12 @@ BUDGET_S = 20.0
 # and from 10 rows on. Entries in {0, 1} or {-1, 0, 1} took at most 1.2 s.
 PROFILE_EDGE_ROWS = 7
 
-# At GRID_CAP, one sampled profile at its largest admitted max-norm took
-# (Python 3.11, 2 CPUs, entries in [-50, 50] or {-1, 0, 1}, 1 to 12 rows
-# with 1, 2, 4, 13 or 40 columns): 1.4-2.5 s at 6 rows x 1 column
-# (max-norm 3) and 10 x 2 (max-norm 1), under 2.1 s for every other shape.
+# At GRID_CAP, one sampled profile at its largest admitted max-norm takes
+# 0.12-0.13 s at 6 rows x 1 column (max-norm 3) and 0.10-0.12 s at 10 x 2
+# (max-norm 1), in-process on the int-tuple walk (Python 3.11, 2 CPUs, best
+# of 5 on three seeded matrices with entries in [-50, 50]). These two were
+# the slowest shapes on the cube scan the cap counts, over 1 to 12 rows with
+# 1, 2, 4, 13 or 40 columns.
 GRID_EDGE_SHAPE = (6, 1, 3)
 
 

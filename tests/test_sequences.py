@@ -1,8 +1,11 @@
+import dataclasses
 import random
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from operator import getitem
+from operator import and_, getitem
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 
 from limprof.builders import spaceable_rows
 from limprof.errors import BadRelationError, EmptyInputError, ShapeError
-from limprof.kernel import rat
+from limprof.kernel import integer_multiple, rat
 from limprof.sequences import (
     InfinitudeRelation,
     StepSequence,
@@ -30,6 +33,18 @@ def test_partition_validation():
         SymbolicPartition.from_ids([])
     with pytest.raises(ShapeError):
         SymbolicPartition.from_ids(["a", "a"])
+
+
+def test_partition_ids_are_built_once_and_are_not_a_field():
+    part = SymbolicPartition.from_ids(["a", "b"])
+    assert part.ids == ("a", "b")
+    assert part.ids is part.ids
+    assert [f.name for f in dataclasses.fields(part)] == ["atoms"]
+    again = SymbolicPartition.from_ids(["a", "b"])
+    assert again == part and hash(again) == hash(part)
+    assert repr(part) == "SymbolicPartition(atoms=(Atom(id='a'), Atom(id='b')))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        part.ids = ("c",)
 
 
 def test_canonical_form_requires_distinct_values():
@@ -207,6 +222,52 @@ def pair_sets(coeff_count, xs, rel):
     return table
 
 
+def mask_table(coeff_count, xs, rel):
+    """``pair_sets`` as bitmasks: per sequence index pair (i, j), per atom a
+    of xs[i], the mask of the b with (a, b) in the pair set."""
+    table = {}
+    for (i, j), pairs in pair_sets(coeff_count, xs, rel).items():
+        masks = [0] * xs[i].num_atoms
+        for a, b in pairs:
+            masks[a] |= 1 << b
+        table[i, j] = masks
+    return table
+
+
+def combine_composites(coeffs, xs, rel=None) -> StepSequence:
+    """The per-composite bitmask walk combine replaced: at step t every
+    composite ANDs its t members' masks into the new sequence and is
+    extended by the set bits, ascending; values are int sums over one common
+    denominator."""
+    if len(coeffs) != len(xs) or not xs:
+        raise ShapeError("coeffs and xs must have equal nonzero length")
+    cs = [rat(c) for c in coeffs]
+    table = mask_table(len(xs), xs, rel)
+    live = [i for i, c in enumerate(cs) if c != 0]
+    if not live:
+        return canonicalize(xs[0].partition, [Fraction(0)] * xs[0].num_atoms)
+    composites = [(a,) for a in range(xs[live[0]].num_atoms)]
+    for t in range(1, len(live)):
+        masks = [table[si, live[t]] for si in live[:t]]
+        tails, new = {}, []
+        for comp in composites:
+            common = reduce(and_, map(getitem, masks, comp))
+            if (ext := tails.get(common)) is None:
+                ext = tails[common] = [(b,) for b in range(common.bit_length())
+                                       if common >> b & 1]
+            new += map(comp.__add__, ext)
+        composites = new
+    if not composites:
+        raise BadRelationError("declared relations leave no infinite refined atom")
+    ints = [integer_multiple([*xs[i].values, 1]) for i in live]
+    *weights, den = integer_multiple([*(cs[i] / v[-1] for i, v in zip(live, ints)), 1])
+    scaled = [[w * x for x in v[:-1]] for w, v in zip(weights, ints)]
+    ids = [xs[i].partition.ids for i in live]
+    atoms = ["&".join(map(getitem, ids, comp)) for comp in composites]
+    values = [Fraction(sum(map(getitem, scaled, comp)), den) for comp in composites]
+    return canonicalize(SymbolicPartition.from_ids(atoms), values)
+
+
 def combine_sets(coeffs, xs, rel=None) -> StepSequence:
     """The set-intersection refinement combine replaced, with Fraction sums:
     a composite is extended by the sorted intersection of its members'
@@ -277,7 +338,7 @@ def combine_oracle(coeffs, xs, rel=None) -> StepSequence:
     return canonicalize(SymbolicPartition.from_ids(atoms), values)
 
 
-ORACLES = (combine_sets, combine_oracle)
+ORACLES = (combine_composites, combine_sets, combine_oracle)
 
 
 def outcome(fn, *args):
@@ -433,6 +494,8 @@ def coprime_step_sequence(rng, prefix, atoms):
 
 coefficient = st.one_of(st.just(0), st.builds(Fraction, st.integers(-3, 3),
                                                  st.sampled_from(DENOMINATORS)))
+nonzero_coefficient = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                st.sampled_from(DENOMINATORS))
 
 
 @st.composite
@@ -466,6 +529,82 @@ def combine_inputs(draw):
 @settings(max_examples=200, deadline=None)
 def test_combine_matches_oracles_on_drawn_inputs(inputs):
     assert_matches_oracles(*inputs)
+
+
+# ---------------------------------------------------------------------------
+# inputs whose prefixes share states: combine builds each state's completions
+# once, and must list them as the per-composite walks do
+
+
+@st.composite
+def spaceable_inputs(draw):
+    """A spaceable family with coefficients, zeros among them. Every row
+    pair shares one relation, so each depth of the walk has about two
+    states."""
+    n_max = draw(st.integers(min_value=1, max_value=12))
+    k_max = draw(st.integers(min_value=0, max_value=12))
+    fam = spaceable_rows(n_max, k_max, draw(st.sampled_from(["dyadic", "rational-dense"])))
+    coeffs = draw(st.lists(coefficient, min_size=n_max, max_size=n_max))
+    return coeffs, fam.rows, fam.relation_table()
+
+
+@st.composite
+def shared_entry_inputs(draw):
+    """Sequences of one atom count whose pairs all map to one entry object,
+    or to one of two (a frozenset, a set or a list): prefixes with equal
+    masks share a state. Coefficients are nonzero, so every sequence is
+    walked."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    k = draw(st.integers(min_value=2, max_value=5))
+    atoms = rng.randint(1, MAX_ATOMS[k])
+    xs = [coprime_step_sequence(rng, f"s{i}.", atoms) for i in range(k)]
+    kind = draw(st.sampled_from([frozenset, set, list]))
+    entries = [kind(sorted(covering_pairs(rng, atoms, atoms, rng.randint(0, atoms * atoms))))
+               for _ in range(draw(st.integers(min_value=1, max_value=2)))]
+    rel = {(i, j): rng.choice(entries) for i in range(k) for j in range(i + 1, k)}
+    return draw(st.lists(nonzero_coefficient, min_size=k, max_size=k)), xs, rel
+
+
+@st.composite
+def dying_inputs(draw):
+    """Three to five sequences under covering relations with few or no
+    extra pairs: many prefixes reach a later sequence with an empty mask, so
+    their states die partway through the walk (sometimes all of them)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    k = draw(st.integers(min_value=3, max_value=5))
+    xs = [coprime_step_sequence(rng, f"s{i}.", rng.randint(1, MAX_ATOMS[k]))
+          for i in range(k)]
+    rel = {(i, j): covering_pairs(rng, xs[i].num_atoms, xs[j].num_atoms, rng.randint(0, 2))
+           for i in range(k) for j in range(i + 1, k)}
+    return draw(st.lists(nonzero_coefficient, min_size=k, max_size=k)), xs, rel
+
+
+@given(st.one_of(spaceable_inputs(), shared_entry_inputs(), dying_inputs()))
+@settings(max_examples=200, deadline=None)
+def test_combine_matches_oracles_where_states_are_shared(inputs):
+    assert_matches_oracles(*inputs)
+
+
+def test_combine_drops_states_that_die_partway():
+    """(a, d) and (b, c) reach w with an empty mask; (a, c) and (b, d)
+    complete."""
+    x = seq(("a", 0), ("b", 1))
+    y = seq(("c", 0), ("d", 2))
+    w = seq(("e", 0), ("f", 4))
+    diagonal = {(0, 0), (1, 1)}
+    table = {(0, 1): {(0, 0), (0, 1), (1, 0), (1, 1)}, (0, 2): diagonal, (1, 2): diagonal}
+    z = combine([1, 1, 1], [x, y, w], table)
+    assert z.partition.ids == ("a&c&e", "b&d&f")
+    assert z.values == (Fraction(0), Fraction(7))
+    assert_matches_oracles([1, 1, 1], [x, y, w], table)
+
+
+def test_combine_walks_deeper_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 10
+    xs = [seq((f"u{i}", 1)) for i in range(n)]
+    z = combine([1] * n, xs)
+    assert z.values == (Fraction(n),)
+    assert z.partition.ids == ("&".join(f"u{i}" for i in range(n)),)
 
 
 # ---------------------------------------------------------------------------
