@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, count, repeat
-from operator import add, attrgetter, le, sub, truediv
-from typing import Callable, Iterable, Mapping, Sequence
+from itertools import chain, compress, count, repeat
+from operator import add, attrgetter, le, mul, ne, sub, truediv
+from typing import Callable, Iterable, Sequence
 
 from .builders import value_ladder
 from .errors import DegenerateError, EmptyInputError, RangeError, ShapeError
@@ -107,7 +106,11 @@ def gen_fq(q) -> PrefixSequence:
 
 
 def combo_values(d: Sequence, q: Sequence) -> Callable[[int], Fraction]:
-    """h_j = sum_t d_t * q_t^j with exact arithmetic and memoized levels."""
+    """h_j = sum_t d_t * q_t^j with exact arithmetic and memoized levels.
+
+    Level j is an int sum over L M^j, for L and M the lcms of the
+    denominators of the d_t and the q_t = p_t/s_t: term t is
+    d_t L (p_t M/s_t)^j. h(j) raises RangeError for j < 0."""
     ds = [rat(x) for x in d]
     qs = [rat(x) for x in q]
     if len(ds) != len(qs) or not ds:
@@ -117,21 +120,20 @@ def combo_values(d: Sequence, q: Sequence) -> Callable[[int], Fraction]:
     for x in qs:
         if not 0 < x < 1:
             raise RangeError("need 0 < q < 1 for every ratio")
-    # Term t at level j is dn_t p_t^j / (dd_t s_t^j) with d_t = dn_t/dd_t
-    # and q_t = p_t/s_t. Levels are built in ascending j from the running
-    # powers (p_t^j, s_t^j), summed over one common denominator.
-    steps = [(x.numerator, x.denominator) for x in qs]
-    terms = [(x.numerator, x.denominator) for x in ds]  # (dn_t p_t^j, dd_t s_t^j)
+    den = math.lcm(*map(_denominator, ds))
+    scale = math.lcm(*map(_denominator, qs))
+    steps = [x.numerator * (scale // x.denominator) for x in qs]
+    terms = [x.numerator * (den // x.denominator) for x in ds]
     levels: list[Fraction] = []
 
     def h(j: int) -> Fraction:
-        nonlocal terms
+        nonlocal terms, den
+        if j < 0:
+            raise RangeError(f"level {j} is negative")
         while len(levels) <= j:
-            num, den = 0, 1
-            for tn, td in terms:
-                num, den = num * td + tn * den, den * td
-            levels.append(Fraction(num, den))
-            terms = [(tn * p, td * s) for (tn, td), (p, s) in zip(terms, steps)]
+            levels.append(Fraction(sum(terms), den))
+            terms = list(map(mul, terms, steps))
+            den *= scale
         return levels[j]
 
     return h
@@ -175,7 +177,8 @@ def gen_rich(q) -> PrefixSequence:
     q^j * (0,1) fills in densely as the prefix grows. The table of r grows
     a tree level at a time, exactly as far as the indices asked for need. The
     block of atom j holds the integer pairs (p^j a_i, s^j b_i) for q = p/s
-    over the atom's ranks i in the range, taken without a gcd."""
+    over the atom's ranks i in the range, taken without a gcd (at j = 0,
+    two table slices)."""
     q = rat(q)
     if not 0 < q < 1:
         raise RangeError("need 0 < q < 1")
@@ -194,8 +197,8 @@ def gen_rich(q) -> PrefixSequence:
             first, stop = _ranks_below(lo, j), _ranks_below(hi, j)
             if first < stop:
                 table.extend_to(stop)
-                yield (map((p**j).__mul__, nums[first:stop]),
-                       map((s**j).__mul__, dens[first:stop]), 1)
+                a, b = nums[first:stop], dens[first:stop]
+                yield (map((p**j).__mul__, a), map((s**j).__mul__, b), 1) if j else (a, b, 1)
 
     return PrefixSequence(f"rich(q={q})", value_at, block_walk)
 
@@ -242,33 +245,18 @@ class ClusterEstimate:
         }
 
 
-def _weighted_mean(group: Mapping[float, int]) -> tuple[float, int]:
-    """The correctly rounded mean of the floats v of ``group``, each taken
-    group[v] times, and the total count. Every float is an integer over a
-    power of two, so the sum is exact over the largest of those
-    denominators. The mean of one value is that value."""
-    if len(group) == 1:
-        (v, k), = group.items()
-        return v, k
-    ratios = [v.as_integer_ratio() for v in group]
-    den = max(d for _, d in ratios)
-    num = sum(n * (den // d) * k for (n, d), k in zip(ratios, group.values()))
-    total = sum(group.values())
-    return num / (den * total), total
-
-
 def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
                       epsilon: float | None = None) -> ClusterEstimate:
     """Merge the tail values of a prefix at radius epsilon.
 
     The floats of the tail's blocks (x.blocks) are sorted and split exactly
     at gaps > epsilon (single linkage), so the outcome is deterministic. A
-    cluster's support is the number of tail indices in it and its center is
-    the correctly rounded mean of its values' floats, weighted by
-    multiplicity; a cluster of one float value has that value as its
-    center. Both depend only on the multiset of tail values, not on how x
-    groups them into blocks. The default epsilon is 1e-6 relative to the
-    tail's sup value."""
+    cluster's support is the number of tail indices in it. A cluster of one
+    float value has that value as its center; any other center is the
+    correctly rounded mean of its floats, weighted by multiplicity, summed
+    as ints over their largest power-of-two denominator. Both depend only
+    on the multiset of tail values, not on how x groups them into blocks.
+    The default epsilon is 1e-6 relative to the tail's sup value."""
     if n <= 0:
         raise EmptyInputError("need a nonempty prefix")
     if not 0 < tail_fraction <= 1:
@@ -293,26 +281,35 @@ def estimate_clusters(x: PrefixSequence, n: int, tail_fraction: float = 0.5,
         sup = max(abs(tail[0]), abs(tail[-1]))
         epsilon = 1e-6 * sup if sup > 0 else 1e-6
     # Merged runs [lo, hi) of tail positions: tail[i - 1] and tail[i] merge
-    # when their gap is at most epsilon, as equal floats always do. Every
-    # float outside the runs is a cluster of one index, plus its heavy part.
-    runs: list[list[int]] = []
-    for i in compress(count(1), map(le, map(sub, tail[1:], tail), repeat(epsilon))):
-        if runs and runs[-1][1] == i:
-            runs[-1][1] = i + 1
-        else:
-            runs.append([i - 1, i + 1])
+    # when their gap is at most epsilon, as equal floats always do, and a
+    # run ends where the next joined i is not adjacent. Every float outside
+    # the runs is a cluster of one index, plus its heavy part.
+    joined = list(compress(count(1), map(le, map(sub, tail[1:], tail), repeat(epsilon))))
+    breaks = list(map(ne, joined[1:], map(add, joined, repeat(1))))
+    los = map(sub, compress(joined, chain((True,), breaks)), repeat(1))
+    his = map(add, compress(joined, chain(breaks, (True,))), repeat(1))
     centers: list[tuple[float, int]] = []
-    start = 0
-    for lo, hi in runs + [[len(tail), len(tail)]]:
+    start, end = 0, len(tail)
+    for lo, hi in chain(zip(los, his), [(end, end)]):
         singles = tail[start:lo]
         if heavy:
             centers += zip(singles, map(add, map(heavy.get, singles, repeat(0)), repeat(1)))
         else:
             centers += zip(singles, repeat(1))
-        if lo < hi:
-            group = Counter(tail[lo:hi])
-            for v in heavy.keys() & group.keys():
-                group[v] += heavy[v]
-            centers.append(_weighted_mean(group))
+        if lo == end:
+            break
         start = hi
+        run = tail[lo:hi]
+        total = hi - lo
+        if run[0] == run[-1]:
+            centers.append((run[0], total + heavy.get(run[0], 0)))
+            continue
+        nums, dens = zip(*map(float.as_integer_ratio, run))
+        den = max(dens)
+        num = sum(map(mul, nums, map(den.__floordiv__, dens)))
+        for v in heavy.keys() & run:
+            n, d = v.as_integer_ratio()
+            num += n * (den // d) * heavy[v]
+            total += heavy[v]
+        centers.append((num / (den * total), total))
     return ClusterEstimate(tuple(centers), epsilon, float(tail_fraction))

@@ -224,7 +224,8 @@ def _pair_table(xs: Sequence[StepSequence], rel, live: list[int]) -> dict:
     (keyed by identity: an entry may be an unhashable set or list). Live
     pairs default to identity over the same atom ids (the only realizable
     relation of a partition with itself), else to generic position: every
-    intersection infinite."""
+    intersection infinite. Pairs share one default per (same ids, atom
+    counts); the lists are only read."""
     table, masks = {}, {}
     if isinstance(rel, InfinitudeRelation):
         if len(xs) != 2:
@@ -243,12 +244,15 @@ def _pair_table(xs: Sequence[StepSequence], rel, live: list[int]) -> dict:
             table[i, j] = m
     elif rel is not None:
         raise BadRelationError("rel must be None, an InfinitudeRelation, or a mapping")
+    defaults = {}
     for t, j in enumerate(live):
+        ids, nr = xs[j].partition.ids, xs[j].num_atoms
         for i in live[:t]:
             if (i, j) not in table:
-                nl, nr = xs[i].num_atoms, xs[j].num_atoms
-                same = xs[i].partition.ids == xs[j].partition.ids
-                table[i, j] = [1 << a if same else (1 << nr) - 1 for a in range(nl)]
+                nl, same = xs[i].num_atoms, xs[i].partition.ids == ids
+                if (m := defaults.get(key := (same, nl, nr))) is None:
+                    m = defaults[key] = [1 << a if same else (1 << nr) - 1 for a in range(nl)]
+                table[i, j] = m
     return table
 
 

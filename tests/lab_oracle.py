@@ -5,6 +5,10 @@
 - ``realize_atoms``: the dyadic and pairing partitions of the naturals,
   index by index; the generators find atoms with ``lab._atom``.
 - ``evaluate``: a prefix, one ``value_at`` call per index.
+- ``combo_levels_oracle``: the levels h_j = sum_t d_t q_t^j from running
+  per-term (numerator, denominator) powers, each level summed over the
+  product of the term denominators; ``combo_values`` works over one
+  common denominator.
 - ``triple_clusters``: ``estimate_clusters`` as it ran on one
   (numerator, denominator, multiplicity) triple at a time, tallied in a
   dict by float and split in a loop over the sorted floats.
@@ -18,6 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from limprof.errors import ShapeError
+from limprof.kernel import rat
 from limprof.lab import ClusterEstimate, PrefixSequence, _atom, cantor_unpair
 
 
@@ -69,6 +74,21 @@ def realize_atoms(scheme: str) -> AtomRealization:
 
 def evaluate(seq: PrefixSequence, n: int) -> list[Fraction]:
     return [seq.value_at(m) for m in range(n)]
+
+
+def combo_levels_oracle(d, q, count: int) -> list[Fraction]:
+    """h_0 .. h_{count-1}: term t at level j is dn_t p_t^j / (dd_t s_t^j)
+    for d_t = dn_t/dd_t and q_t = p_t/s_t, from the running powers."""
+    steps = [(rat(x).numerator, rat(x).denominator) for x in q]
+    terms = [(rat(x).numerator, rat(x).denominator) for x in d]
+    levels = []
+    for _ in range(count):
+        num, den = 0, 1
+        for tn, td in terms:
+            num, den = num * td + tn * den, den * td
+        levels.append(Fraction(num, den))
+        terms = [(tn * p, td * s) for (tn, td), (p, s) in zip(terms, steps)]
+    return levels
 
 
 def triples(seq: PrefixSequence, a: int, b: int) -> Iterator[tuple[int, int, int]]:

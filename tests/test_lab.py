@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import chain, islice
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from limprof.errors import (
@@ -17,7 +17,6 @@ from limprof.errors import (
 )
 from limprof.lab import (
     PrefixSequence,
-    _weighted_mean,
     cantor_unpair,
     combo_values,
     estimate_clusters,
@@ -31,6 +30,7 @@ from limprof.rationals import UnitRationalTable, first_unit_rationals
 
 from lab_oracle import (
     calkin_wilf_pairs,
+    combo_levels_oracle,
     estimate_by_triples,
     evaluate,
     realize_atoms,
@@ -451,7 +451,9 @@ def test_cluster_centers_are_exact_weighted_means():
 
 
 def test_weighted_mean_of_one_value_is_that_value():
-    """The one-value shortcut agrees with the exact mean it skips."""
+    """The one-value rule agrees with the exact mean it skips: a run of
+    equal floats, from unreduced pairs and heavy blocks, has that float as
+    its center."""
     def exact_mean(v, count):
         n, d = v.as_integer_ratio()
         return n * count / (d * count), count
@@ -462,7 +464,10 @@ def test_weighted_mean_of_one_value_is_that_value():
     values += [rng.uniform(-1, 1) * 2.0 ** rng.randint(-1070, 1020) for _ in range(500)]
     for v in values:
         count = rng.randint(1, 1 << 20)
-        assert _weighted_mean({v: count}) == exact_mean(v, count) == (v, count)
+        n, d = v.as_integer_ratio()
+        blocks = [([n, 3 * n], [d, 3 * d], count), ([2 * n], [2 * d], 1)]
+        est = estimate_clusters(block_sequence(blocks), 1, 1.0, 0.0)
+        assert est.centers == (exact_mean(v, 2 * count + 1),) == ((v, 2 * count + 1),)
     # the clusters of one float value that estimate_clusters emits in bulk
     seq = PrefixSequence("spread", lambda m: Fraction(values[m % len(values)]))
     est = estimate_clusters(seq, 3 * len(values), tail_fraction=1.0, epsilon=0.0)
@@ -549,6 +554,58 @@ def test_combo_values_match_fraction_powers():
         assert h_sequence(ds, qs, 0).values == ()
 
 
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23]
+
+
+@st.composite
+def combo_params(draw):
+    """1-4 terms: ratios over one shared denominator, over pairwise coprime
+    denominators, or over any; coefficients of either sign (or zero), over
+    one shared denominator or each over its own."""
+    terms = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["shared", "coprime", "any"]))
+    if kind == "shared":
+        s = draw(st.integers(terms + 1, 40))
+        nums = draw(st.lists(st.integers(1, s - 1), min_size=terms, max_size=terms, unique=True))
+        q = [Fraction(a, s) for a in nums]
+    elif kind == "coprime":
+        dens = draw(st.lists(st.sampled_from(PRIMES), min_size=terms, max_size=terms,
+                             unique=True))
+        q = [Fraction(draw(st.integers(1, s - 1)), s) for s in dens]
+    else:
+        ratio = st.fractions(0, 1, max_denominator=60).filter(lambda x: 0 < x < 1)
+        q = draw(st.lists(ratio, min_size=terms, max_size=terms, unique=True))
+    shared = draw(st.one_of(st.none(), st.integers(1, 30)))
+    d = [Fraction(draw(st.integers(-60, 60)), shared or draw(st.integers(1, 30)))
+         for _ in range(terms)]
+    return d, q
+
+
+@given(combo_params(), st.integers(0, 300))
+@settings(max_examples=80, deadline=None)
+def test_combo_values_match_per_term_oracle(params, first):
+    """The levels over one common denominator are the exact Fractions of
+    the per-term recurrence, up to j = 300, whichever level is read first."""
+    d, q = params
+    want = combo_levels_oracle(d, q, 301)
+    h = combo_values(d, q)
+    assert h(first) == want[first]
+    assert [h(j) for j in range(301)] == want
+
+
+def test_combo_values_reject_negative_levels():
+    """h(-1) raises before any level is built and after, never wrapping
+    round to the last level built."""
+    h = combo_values([1], [Fraction(1, 2)])
+    with pytest.raises(RangeError):
+        h(-1)
+    assert h(5) == Fraction(1, 32)
+    for j in (-1, -6, -(1 << 70)):
+        with pytest.raises(RangeError):
+            h(j)
+    assert [h(j) for j in range(6)] == [Fraction(1, 2**j) for j in range(6)]
+
+
 RICH_RATIOS = [Fraction(1, 2), Fraction(3, 4), Fraction(5, 6), Fraction(1, 10),
                Fraction(2, 3), Fraction(5, 7)]
 
@@ -571,6 +628,21 @@ def test_rich_levels_match_per_index_values(q):
     if q.denominator % 2 == 0:
         assert any(math.gcd(num, den) > 1 for nums, dens, _ in seq.blocks(0, 64)
                    for num, den in zip(nums, dens))
+
+
+def test_rich_atom_zero_block_is_a_copy():
+    """Atom 0's block is two table slices, so a caller that mutates them
+    leaves the table, and every later block and value, unchanged."""
+    seq = gen_rich(Fraction(2, 3))
+    want = [seq.value_at(m) for m in atom_order(0, 200)]
+    nums, dens, k = next(iter(seq.blocks(0, 200)))
+    assert k == 1 and isinstance(nums, list) and isinstance(dens, list)
+    nums[:] = [0] * len(nums)
+    dens.reverse()
+    dens.append(5)
+    assert expand(seq.blocks(0, 200)) == want
+    assert [seq.value_at(m) for m in atom_order(0, 200)] == want
+    assert expand(gen_rich(Fraction(2, 3)).blocks(0, 200)) == want
 
 
 def per_index_clusters(seq, n, epsilon):
@@ -645,6 +717,14 @@ def level_multisets(draw):
 
 @given(level_multisets())
 @settings(max_examples=300, deadline=None)
+# a run of distinct floats with no heavy value, between two single floats
+@example(([([1, 2, 3, -9, 9], [10, 10, 10, 1, 1], 1)], 0.15))
+# a one-value run of equal floats from distinct unreduced pairs, one heavy
+@example(([([1, 2, 3], [3, 6, 9], 1), ([4], [12], 5), ([5], [1], 1)], 0.0))
+# a heavy value inside a run of several values
+@example(([([1, 2], [10, 10], 1), ([3], [20], 1 << 20), ([7], [1], 2)], 0.06))
+# runs at both ends of the tail, a single between them
+@example(([([0, 1, 5, 10, 11], [1, 1, 1, 1, 1], 1), ([11], [1], 3)], 1.0))
 def test_estimate_clusters_matches_triple_oracle(case):
     """Bit for bit the estimate the per-triple tally gave."""
     blocks, epsilon = case
